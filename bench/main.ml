@@ -24,6 +24,7 @@ open Liquid_pipeline
 open Liquid_harness
 open Liquid_workloads
 module Hwmodel = Liquid_hwmodel.Hwmodel
+module Backend = Liquid_translate.Backend
 
 let find name = match Workload.find name with Some w -> w | None -> assert false
 let json_only = Array.exists (fun a -> a = "--json-only") Sys.argv
@@ -91,7 +92,10 @@ let bench_table6 =
   let w = find "MPEG2 Dec." in
   Test.make ~name:"table6_call_distances"
     (Staged.stage (fun () ->
-         Experiments.region_first_gap (Runner.run w (Runner.Liquid 8)).Runner.run))
+         Experiments.region_first_gap
+           (Runner.run w
+              (Runner.Liquid { backend = Fixed; lanes = 8; oracle = false }))
+             .Runner.run))
 
 (* Figure 6: the headline measurement — baseline vs translated runs of
    the best-case benchmark. *)
@@ -100,7 +104,11 @@ let bench_figure6 =
   Test.make ~name:"figure6_speedup"
     (Staged.stage (fun () ->
          let base = (Runner.run w Runner.Baseline).Runner.run in
-         let simd = (Runner.run w (Runner.Liquid 8)).Runner.run in
+         let simd =
+           (Runner.run w
+              (Runner.Liquid { backend = Fixed; lanes = 8; oracle = false }))
+             .Runner.run
+         in
          Runner.speedup ~baseline:base simd))
 
 (* Section 5 code size: encoding both binary flavours of every benchmark. *)
@@ -114,7 +122,9 @@ let bench_ucode_cache =
   let w = find "104.hydro2d" in
   Test.make ~name:"sec5_ucode_cache"
     (Staged.stage (fun () ->
-         (Runner.run w (Runner.Liquid 16)).Runner.run.Cpu.ucode_max_occupancy))
+         (Runner.run w
+            (Runner.Liquid { backend = Fixed; lanes = 16; oracle = false }))
+           .Runner.run.Cpu.ucode_max_occupancy))
 
 (* Section 5 translation latency: offline translation of the FFT regions. *)
 let bench_translation =
@@ -387,9 +397,13 @@ let sim_throughput ~blocks ~superblocks workloads =
     List.fold_left
       (fun acc (w : Workload.t) ->
         acc + cycles_of w Runner.Baseline
-        + cycles_of w (Runner.Liquid 8)
-        + cycles_of w (Runner.Liquid_vla 8)
-        + cycles_of w (Runner.Liquid_rvv 8))
+        + List.fold_left
+            (fun acc b ->
+              acc
+              + cycles_of w
+                  (Runner.Liquid
+                     { backend = Backend.kind_of b; lanes = 8; oracle = false }))
+            0 Backend.all)
       0 workloads
   in
   let wall = Unix.gettimeofday () -. t0 in

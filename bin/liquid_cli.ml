@@ -40,7 +40,9 @@ let workload_arg =
 let variant_arg =
   Arg.(
     value
-    & opt variant_conv (Runner.Liquid 8)
+    & opt variant_conv
+        (Runner.Liquid
+           { backend = Liquid_translate.Backend.Fixed; lanes = 8; oracle = false })
     & info [ "m"; "machine" ] ~docv:"VARIANT"
         ~doc:
           "Machine/binary flavour: $(b,baseline), $(b,liquid:scalar), \
@@ -345,6 +347,20 @@ let report_snapshot (w : Workload.t) variant jsonl_path csv_dir =
           List.iter (Format.eprintf "invariant violated: %s@.") viols;
           exit 1)
 
+let report_tables =
+  [
+    "table2";
+    "table5";
+    "table6";
+    "figure6";
+    "codesize";
+    "ucode";
+    "latency";
+    "overhead";
+    "translator";
+    "ablations";
+  ]
+
 let report_cmd =
   let doc =
     "Regenerate the paper's tables and figures, or emit one workload's \
@@ -356,10 +372,9 @@ let report_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WHICH"
           ~doc:
-            "One of table2, table5, table6, figure6, codesize, ucode, \
-             latency, overhead, translator, ablations (omit for all) — or a \
-             workload name (see $(b,list)) to emit that run's observability \
-             snapshot as JSON.")
+            ("One of " ^ String.concat ", " report_tables
+           ^ " (omit for all) — or a workload name (see $(b,list)) to emit \
+              that run's observability snapshot as JSON."))
   in
   let csv_arg =
     Arg.(
@@ -391,9 +406,16 @@ let report_cmd =
               Out_channel.output_string oc contents);
           Format.printf "wrote %s@." path
     in
-    match Option.bind which Workload.find with
-    | Some w -> report_snapshot w variant jsonl_path csv_dir
-    | None ->
+    match (which, Option.bind which Workload.find) with
+    | _, Some w -> report_snapshot w variant jsonl_path csv_dir
+    | Some name, None when not (List.mem name report_tables) ->
+        Format.eprintf
+          "liquid_cli: unknown report %S; expected one of %s, or a workload \
+           name (see liquid_cli list)@."
+          name
+          (String.concat ", " report_tables);
+        exit 1
+    | _, None ->
     if want "table2" then
       Format.printf "%a@.@." Experiments.pp_table2 (Experiments.table2 ());
     if want "table5" then begin
@@ -493,7 +515,11 @@ let summary_cmd =
     List.iter
       (fun (w : Workload.t) ->
         let base = (Runner.run w Runner.Baseline).Runner.run in
-        let { Runner.run = lrun; _ } = Runner.run w (Runner.Liquid lanes) in
+        let { Runner.run = lrun; _ } =
+          Runner.run w
+            (Runner.Liquid
+               { backend = Liquid_translate.Backend.Fixed; lanes; oracle = false })
+        in
         let stats = lrun.Cpu.stats in
         Format.printf "%-12s %9d %9d %7.2fx %5.0f%% %7d@." w.Workload.name
           base.Cpu.stats.Liquid_machine.Stats.cycles

@@ -24,7 +24,11 @@ let probe ?(backend = Backend.fixed) (w : Workload.t) ~width =
   with
   | Some sp -> sp
   | None ->
-      let program = Runner.program_of w (Runner.Liquid width) in
+      let program =
+        Runner.program_of w
+          (Runner.Liquid
+             { backend = Backend.kind_of backend; lanes = width; oracle = false })
+      in
       let hooks, feeds = Fault.counting_hooks () in
       let config =
         {
@@ -111,7 +115,11 @@ type case = {
 }
 
 let run_case ?(backend = Backend.fixed) (w : Workload.t) ~width fault =
-  let program = Runner.program_of w (Runner.Liquid width) in
+  let program =
+    Runner.program_of w
+      (Runner.Liquid
+         { backend = Backend.kind_of backend; lanes = width; oracle = false })
+  in
   let image = Image.of_program program in
   let armed = Fault.arm fault in
   let base = { (Cpu.liquid_config ~lanes:width) with Cpu.backend } in

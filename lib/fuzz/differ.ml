@@ -79,22 +79,20 @@ let engine_label blocks superblocks =
   | true, false -> "/nosuper"
   | false, _ -> "/noblocks"
 
+let backends = List.map Backend.kind_of Backend.all
+
+(* Every backend at every width, translated by the hardware translator
+   or by the oracle. *)
+let liquid_variants ~oracle w =
+  List.map (fun backend -> Runner.Liquid { backend; lanes = w; oracle }) backends
+
 let fault_variants =
-  Runner.
-    [
-      Liquid 2;
-      Liquid 4;
-      Liquid 8;
-      Liquid 16;
-      Liquid_vla 2;
-      Liquid_vla 4;
-      Liquid_vla 8;
-      Liquid_vla 16;
-      Liquid_rvv 2;
-      Liquid_rvv 4;
-      Liquid_rvv 8;
-      Liquid_rvv 16;
-    ]
+  List.concat_map
+    (fun backend ->
+      List.map
+        (fun lanes -> Runner.Liquid { backend; lanes; oracle = false })
+        widths)
+    backends
 
 let draw_fault rng =
   match Fault.Rng.int rng 3 with
@@ -156,14 +154,14 @@ let run_case ?fault_seed (p : Vloop.program) =
                        ~label:(base_label ^ engine_label blocks superblocks)
                        image config)
                    [ (true, true); (true, false); (false, false) ])
-               Runner.[ Liquid w; Liquid_vla w; Liquid_rvv w ];
+               (liquid_variants ~oracle:false w);
              (* oracle translation (microcode ready at first call) *)
              List.iter
                (fun variant ->
                  check acc refc
                    ~label:(Runner.variant_to_string variant)
                    image (Runner.config_of variant))
-               Runner.[ Liquid_oracle w; Liquid_vla_oracle w; Liquid_rvv_oracle w ])
+               (liquid_variants ~oracle:true w))
            widths;
          (* seeded translation-path faults *)
          (match fault_seed with

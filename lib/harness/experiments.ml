@@ -2,6 +2,7 @@ open Liquid_pipeline
 open Liquid_prog
 open Liquid_scalarize
 open Liquid_workloads
+module Backend = Liquid_translate.Backend
 module Hwmodel = Liquid_hwmodel.Hwmodel
 module Stats = Liquid_machine.Stats
 
@@ -111,7 +112,10 @@ let region_first_gap (run : Cpu.run) =
 let table6 () =
   Runner.run_many
     (fun (w : Workload.t) ->
-      let { Runner.run; _ } = Runner.run_cached w (Runner.Liquid 8) in
+      let { Runner.run; _ } =
+        Runner.run_cached w
+          (Runner.Liquid { backend = Backend.Fixed; lanes = 8; oracle = false })
+      in
       let gaps = List.map snd (region_first_gap run) in
       let n = List.length gaps in
       {
@@ -154,50 +158,33 @@ let figure6 ?(widths = [ 2; 4; 8; 16 ]) () =
   Runner.run_many
     (fun (w : Workload.t) ->
       let base = (Runner.run_cached w Runner.Baseline).run in
-      let speedups =
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } = Runner.run_cached w (Runner.Liquid lanes) in
-            (lanes, Runner.speedup ~baseline:base run))
-          widths
-      in
-      let vla_speedups =
-        (* Same binary, translator targeting the length-agnostic
-           predicated backend: no width/trip-count divisibility aborts,
-           partial final iterations instead of scalar epilogues. *)
+      let speedups_on ?(oracle = false) backend =
         List.map
           (fun lanes ->
             let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_vla lanes)
+              Runner.run_cached w (Runner.Liquid { backend; lanes; oracle })
             in
             (lanes, Runner.speedup ~baseline:base run))
           widths
       in
-      let rvv_speedups =
-        (* Same binary again, translator targeting the RVV-style
-           stripmining backend: the vsetvl grant absorbs the remainder
-           like VLA predication does, and LMUL register grouping may
-           multiply the effective width on low-pressure regions. *)
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_rvv lanes)
-            in
-            (lanes, Runner.speedup ~baseline:base run))
-          widths
-      in
+      let speedups = speedups_on Backend.Fixed in
+      (* Same binary, translator targeting the length-agnostic predicated
+         backend: no width/trip-count divisibility aborts, predicated
+         final iterations instead of scalar epilogues. *)
+      let vla_speedups = speedups_on Backend.Vla in
+      (* Same binary again, translator targeting the RVV-style
+         stripmining backend: the vsetvl grant absorbs the remainder like
+         VLA predication does, and LMUL register grouping may multiply
+         the effective width on low-pressure regions. *)
+      let rvv_speedups = speedups_on Backend.Rvv in
       let native_delta =
         (* The callout of Figure 6: re-run with translation removed from
            the picture (microcode present from the first call), i.e. a
            processor with built-in ISA support for the SIMD code. *)
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_oracle lanes)
-            in
-            let native = Runner.speedup ~baseline:base run in
-            (lanes, native -. List.assoc lanes speedups))
-          widths
+        List.map2
+          (fun (lanes, native) (_, translated) -> (lanes, native -. translated))
+          (speedups_on ~oracle:true Backend.Fixed)
+          speedups
       in
       {
         f6_name = w.name;
@@ -217,9 +204,9 @@ let pp_figure6 ppf rows =
     "rvv=2" "rvv=4" "rvv=8" "rvv=16" "max native-ISA delta";
   List.iter
     (fun r ->
-      let s w = try List.assoc w r.f6_speedups with Not_found -> nan in
-      let v w = try List.assoc w r.f6_vla_speedups with Not_found -> nan in
-      let rv w = try List.assoc w r.f6_rvv_speedups with Not_found -> nan in
+      let at l w = Option.value (List.assoc_opt w l) ~default:nan in
+      let s = at r.f6_speedups and v = at r.f6_vla_speedups in
+      let rv = at r.f6_rvv_speedups in
       let delta =
         List.fold_left (fun acc (_, d) -> Float.max acc (Float.abs d)) 0.0
           r.f6_native_delta
@@ -279,7 +266,10 @@ type ucode_row = {
 let ucode_cache () =
   Runner.run_many
     (fun (w : Workload.t) ->
-      let { Runner.run; _ } = Runner.run_cached w (Runner.Liquid 16) in
+      let { Runner.run; _ } =
+        Runner.run_cached w
+          (Runner.Liquid { backend = Backend.Fixed; lanes = 16; oracle = false })
+      in
       let max_uops =
         List.fold_left
           (fun acc (r : Cpu.region_report) ->
@@ -321,7 +311,9 @@ let latency_ablation ?(costs = [ 1; 10; 30; 100 ]) () =
         List.map
           (fun c ->
             let { Runner.run; _ } =
-              Runner.run_cached ~translation_cpi:c w (Runner.Liquid 8)
+              Runner.run_cached ~translation_cpi:c w
+                (Runner.Liquid
+                   { backend = Backend.Fixed; lanes = 8; oracle = false })
             in
             (c, Runner.speedup ~baseline:base run))
           costs
@@ -592,23 +584,15 @@ let csv_figure6 rows =
     (fun r ->
       List.iter
         (fun (w, s) ->
-          let vla =
-            match List.assoc_opt w r.f6_vla_speedups with
+          let cell l =
+            match List.assoc_opt w l with
             | Some v -> Printf.sprintf "%.4f" v
-            | None -> ""
-          in
-          let rvv =
-            match List.assoc_opt w r.f6_rvv_speedups with
-            | Some v -> Printf.sprintf "%.4f" v
-            | None -> ""
-          in
-          let delta =
-            match List.assoc_opt w r.f6_native_delta with
-            | Some d -> Printf.sprintf "%.4f" d
             | None -> ""
           in
           Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%.4f,%s,%s,%s\n" r.f6_name w s vla rvv delta))
+            (Printf.sprintf "%s,%d,%.4f,%s,%s,%s\n" r.f6_name w s
+               (cell r.f6_vla_speedups) (cell r.f6_rvv_speedups)
+               (cell r.f6_native_delta)))
         r.f6_speedups)
     rows;
   Buffer.contents buf

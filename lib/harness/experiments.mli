@@ -48,13 +48,13 @@ type fig6_row = {
   f6_speedups : (int * float) list;  (** (width, speedup) for 2/4/8/16 *)
   f6_vla_speedups : (int * float) list;
       (** same widths through the VLA backend
-          ({!Runner.Liquid_vla}): predicated final iterations instead
-          of divisibility aborts *)
+          ([Runner.Liquid {backend = Vla; _}]): predicated final
+          iterations instead of divisibility aborts *)
   f6_rvv_speedups : (int * float) list;
       (** same widths through the RVV backend
-          ({!Runner.Liquid_rvv}): vsetvl-granted final iterations, with
-          LMUL register grouping multiplying the effective width on
-          low-pressure regions *)
+          ([Runner.Liquid {backend = Rvv; _}]): vsetvl-granted final
+          iterations, with LMUL register grouping multiplying the
+          effective width on low-pressure regions *)
   f6_native_delta : (int * float) list;
       (** (width, native speedup - liquid speedup): the callout's
           virtualization overhead, where a native binary exists *)

@@ -7,26 +7,41 @@ open Liquid_workloads
 type variant =
   | Baseline
   | Liquid_scalar
-  | Liquid of int
-  | Liquid_oracle of int
-  | Liquid_vla of int
-  | Liquid_vla_oracle of int
-  | Liquid_rvv of int
-  | Liquid_rvv_oracle of int
+  | Liquid of { backend : Backend.kind; lanes : int; oracle : bool }
   | Native of int
 
 type result = { variant : variant; program : Program.t; run : Cpu.run }
 
+(* The surface tag of a Liquid machine: "liquid" and "oracle" for the
+   fixed-width backend, otherwise the backend's name, "-oracle"
+   suffixed for oracle translation. *)
+let liquid_tag ~backend ~oracle =
+  match (backend, oracle) with
+  | Backend.Fixed, false -> "liquid"
+  | Backend.Fixed, true -> "oracle"
+  | _, false -> Backend.name_of (Backend.of_kind backend)
+  | _, true -> Backend.name_of (Backend.of_kind backend) ^ "-oracle"
+
 let variant_name = function
   | Baseline -> "baseline"
   | Liquid_scalar -> "liquid/scalar"
-  | Liquid w -> Printf.sprintf "liquid/%d-wide" w
-  | Liquid_oracle w -> Printf.sprintf "liquid-oracle/%d-wide" w
-  | Liquid_vla w -> Printf.sprintf "liquid-vla/%d-wide" w
-  | Liquid_vla_oracle w -> Printf.sprintf "liquid-vla-oracle/%d-wide" w
-  | Liquid_rvv w -> Printf.sprintf "liquid-rvv/%d-wide" w
-  | Liquid_rvv_oracle w -> Printf.sprintf "liquid-rvv-oracle/%d-wide" w
+  | Liquid { backend = Backend.Fixed; lanes; oracle = false } ->
+      Printf.sprintf "liquid/%d-wide" lanes
+  | Liquid { backend; lanes; oracle } ->
+      Printf.sprintf "liquid-%s/%d-wide" (liquid_tag ~backend ~oracle) lanes
   | Native w -> Printf.sprintf "native/%d-wide" w
+
+(* Every (backend, oracle) shape of a Liquid machine. A tag parses as
+   its canonical spelling or, [liquid] itself aside, with a [liquid-]
+   prefix. *)
+let liquid_of_tag tag =
+  List.find_opt
+    (fun (backend, oracle) ->
+      let t = liquid_tag ~backend ~oracle in
+      tag = t || (t <> "liquid" && tag = "liquid-" ^ t))
+    (List.concat_map
+       (fun b -> [ (Backend.kind_of b, false); (Backend.kind_of b, true) ])
+       Backend.all)
 
 (* One parser for the CLI's and the sweep service's variant syntax, so
    the two front ends can never drift apart. *)
@@ -36,80 +51,50 @@ let variant_of_string s =
     | Some w when w > 0 -> Ok (ctor w)
     | Some _ | None -> Error (Printf.sprintf "bad width %S" w)
   in
+  let unknown () =
+    Error
+      (Printf.sprintf
+         "unknown variant %S; expected baseline, liquid:scalar, \
+          liquid:<width>, vla:<width>, rvv:<width>, oracle:<width>, \
+          vla-oracle:<width>, rvv-oracle:<width> or native:<width>"
+         s)
+  in
   match String.split_on_char ':' s with
   | [ "baseline" ] -> Ok Baseline
   | [ "liquid"; "scalar" ] -> Ok Liquid_scalar
-  | [ "liquid"; w ] -> width (fun w -> Liquid w) w
-  | [ "oracle"; w ] | [ "liquid-oracle"; w ] -> width (fun w -> Liquid_oracle w) w
-  | [ "vla"; w ] | [ "liquid-vla"; w ] -> width (fun w -> Liquid_vla w) w
-  | [ "vla-oracle"; w ] | [ "liquid-vla-oracle"; w ] ->
-      width (fun w -> Liquid_vla_oracle w) w
-  | [ "rvv"; w ] | [ "liquid-rvv"; w ] -> width (fun w -> Liquid_rvv w) w
-  | [ "rvv-oracle"; w ] | [ "liquid-rvv-oracle"; w ] ->
-      width (fun w -> Liquid_rvv_oracle w) w
   | [ "native"; w ] -> width (fun w -> Native w) w
-  | _ ->
-      Error
-        (Printf.sprintf
-           "unknown variant %S; expected baseline, liquid:scalar, \
-            liquid:<width>, vla:<width>, rvv:<width>, oracle:<width>, \
-            vla-oracle:<width>, rvv-oracle:<width> or native:<width>"
-           s)
+  | [ tag; w ] -> (
+      match liquid_of_tag tag with
+      | Some (backend, oracle) ->
+          width (fun lanes -> Liquid { backend; lanes; oracle }) w
+      | None -> unknown ())
+  | _ -> unknown ()
 
 let variant_to_string = function
   | Baseline -> "baseline"
   | Liquid_scalar -> "liquid:scalar"
-  | Liquid w -> Printf.sprintf "liquid:%d" w
-  | Liquid_oracle w -> Printf.sprintf "oracle:%d" w
-  | Liquid_vla w -> Printf.sprintf "vla:%d" w
-  | Liquid_vla_oracle w -> Printf.sprintf "vla-oracle:%d" w
-  | Liquid_rvv w -> Printf.sprintf "rvv:%d" w
-  | Liquid_rvv_oracle w -> Printf.sprintf "rvv-oracle:%d" w
+  | Liquid { backend; lanes; oracle } ->
+      Printf.sprintf "%s:%d" (liquid_tag ~backend ~oracle) lanes
   | Native w -> Printf.sprintf "native:%d" w
 
 let program_of (w : Workload.t) = function
   | Baseline -> Codegen.baseline w.program
-  | Liquid_scalar | Liquid _ | Liquid_oracle _ | Liquid_vla _
-  | Liquid_vla_oracle _ | Liquid_rvv _ | Liquid_rvv_oracle _ ->
-      Codegen.liquid w.program
+  | Liquid_scalar | Liquid _ -> Codegen.liquid w.program
   | Native width -> Codegen.native ~width w.program
 
 let config_of ?(translation_cpi = 1) = function
   | Baseline | Liquid_scalar -> Cpu.scalar_config
-  | Liquid lanes ->
-      {
-        (Cpu.liquid_config ~lanes) with
-        Cpu.translator =
-          Some { Cpu.cycles_per_insn = translation_cpi; Cpu.kind = Cpu.Hardware };
-      }
-  | Liquid_oracle lanes ->
-      { (Cpu.liquid_config ~lanes) with Cpu.oracle_translation = true }
-  | Liquid_vla lanes ->
-      {
-        (Cpu.liquid_config ~lanes) with
-        Cpu.backend = Backend.vla;
-        Cpu.translator =
-          Some { Cpu.cycles_per_insn = translation_cpi; Cpu.kind = Cpu.Hardware };
-      }
-  | Liquid_vla_oracle lanes ->
-      {
-        (Cpu.liquid_config ~lanes) with
-        Cpu.backend = Backend.vla;
-        Cpu.oracle_translation = true;
-      }
-  | Liquid_rvv lanes ->
-      {
-        (Cpu.liquid_config ~lanes) with
-        Cpu.backend = Backend.rvv;
-        Cpu.translator =
-          Some { Cpu.cycles_per_insn = translation_cpi; Cpu.kind = Cpu.Hardware };
-      }
-  | Liquid_rvv_oracle lanes ->
-      {
-        (Cpu.liquid_config ~lanes) with
-        Cpu.backend = Backend.rvv;
-        Cpu.oracle_translation = true;
-      }
+  | Liquid { backend; lanes; oracle } ->
+      let config =
+        { (Cpu.liquid_config ~lanes) with Cpu.backend = Backend.of_kind backend }
+      in
+      if oracle then { config with Cpu.oracle_translation = true }
+      else
+        {
+          config with
+          Cpu.translator =
+            Some { Cpu.cycles_per_insn = translation_cpi; Cpu.kind = Cpu.Hardware };
+        }
   | Native lanes -> Cpu.native_config ~lanes
 
 let run ?translation_cpi ?fuel ?(blocks = true) ?(superblocks = true)
@@ -129,8 +114,8 @@ let run ?translation_cpi ?fuel ?(blocks = true) ?(superblocks = true)
    pairs dozens of times (every table needs the baseline cycles of every
    workload). One process-wide table keyed on the full input tuple turns
    those repeats into lookups. The [translation_cpi] knob only reaches
-   the config of [Liquid] variants, so it is normalized out of the key
-   everywhere else.
+   the config of non-oracle [Liquid] variants, so it is normalized out
+   of the key everywhere else.
 
    The table is a bounded exact-LRU [Lru] (it used to be an unbounded
    hashtable — fine for one report run, a leak for the long-lived sweep
@@ -159,11 +144,8 @@ let cache_key (w : Workload.t) variant ~translation_cpi ~fuel ~blocks
     ck_variant = variant;
     ck_cpi =
       (match variant with
-      | Liquid _ | Liquid_vla _ | Liquid_rvv _ ->
-          Option.value translation_cpi ~default:1
-      | Baseline | Liquid_scalar | Liquid_oracle _ | Liquid_vla_oracle _
-      | Liquid_rvv_oracle _ | Native _ ->
-          1);
+      | Liquid { oracle = false; _ } -> Option.value translation_cpi ~default:1
+      | Baseline | Liquid_scalar | Liquid { oracle = true; _ } | Native _ -> 1);
     ck_fuel = Option.value fuel ~default:Cpu.scalar_config.Cpu.fuel;
     ck_blocks = blocks;
     ck_super = superblocks;

@@ -7,24 +7,18 @@ open Liquid_workloads
 type variant =
   | Baseline  (** scalar binary (inline loops) on the plain core *)
   | Liquid_scalar  (** Liquid binary on a core with no accelerator *)
-  | Liquid of int  (** Liquid binary, accelerator + translator at width *)
-  | Liquid_oracle of int
-      (** Liquid binary with microcode available from the first call —
-          the paper's "built-in ISA support" comparison point (§5) *)
-  | Liquid_vla of int
-      (** Liquid binary, accelerator + translator targeting the
-          vector-length-agnostic predicated backend
-          ({!Liquid_translate.Backend.vla}) at the given lane count *)
-  | Liquid_vla_oracle of int
-      (** VLA backend with microcode available from the first call *)
-  | Liquid_rvv of int
-      (** Liquid binary, accelerator + translator targeting the
-          RVV-style stripmining backend
-          ({!Liquid_translate.Backend.rvv}) at the given base lane
-          count; the translator may multiply the effective width by an
-          LMUL register-group factor *)
-  | Liquid_rvv_oracle of int
-      (** RVV backend with microcode available from the first call *)
+  | Liquid of {
+      backend : Liquid_translate.Backend.kind;
+          (** the translation target: fixed-width, VLA or RVV *)
+      lanes : int;
+          (** accelerator lane count; under RVV the translator may
+              multiply the effective width by an LMUL register-group
+              factor *)
+      oracle : bool;
+          (** microcode available from the first call — the paper's
+              "built-in ISA support" comparison point (§5) — instead of
+              the hardware translator *)
+    }  (** Liquid binary on an accelerator with a dynamic translator *)
   | Native of int  (** native SIMD binary on a matching accelerator *)
 
 type result = { variant : variant; program : Program.t; run : Cpu.run }
@@ -34,10 +28,10 @@ val variant_name : variant -> string
 val variant_of_string : string -> (variant, string) Stdlib.result
 (** Parse the CLI/service variant syntax — [baseline], [liquid:scalar],
     [liquid:W], [vla:W], [rvv:W], [oracle:W], [vla-oracle:W],
-    [rvv-oracle:W], [native:W] (with the [liquid-] prefixed aliases) —
-    the inverse of the surface syntax, shared by the command line and
-    the sweep-service protocol so the two cannot drift. The error
-    carries a human-readable message. *)
+    [rvv-oracle:W], [native:W] (with the [liquid-] prefixed aliases,
+    e.g. [liquid-vla:W]) — the inverse of the surface syntax, shared by
+    the command line and the sweep-service protocol so the two cannot
+    drift. The error carries a human-readable message. *)
 
 val variant_to_string : variant -> string
 (** The canonical wire spelling — the inverse of {!variant_of_string}
@@ -50,11 +44,11 @@ val program_of : Workload.t -> variant -> Program.t
 
 val config_of : ?translation_cpi:int -> variant -> Cpu.config
 (** The machine configuration a variant runs on — the single source of
-    truth shared by {!run}, the CLI and the benchmarks. [Liquid_vla]
-    and [Liquid_vla_oracle] select {!Liquid_translate.Backend.vla},
-    [Liquid_rvv] and [Liquid_rvv_oracle] select
-    {!Liquid_translate.Backend.rvv}; every other variant keeps the
-    fixed-width backend. *)
+    truth shared by {!run}, the CLI and the benchmarks. A [Liquid]
+    variant selects the backend of its [backend] kind, and either the
+    hardware translator at [translation_cpi] cycles per instruction or,
+    with [oracle], zero-latency oracle translation; every other variant
+    keeps the fixed-width backend. *)
 
 val run :
   ?translation_cpi:int ->

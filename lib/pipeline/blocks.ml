@@ -109,12 +109,9 @@ type suop =
       shift : int;
     }
   | Svec of Vinsn.exec
-  | Svla of Vla.exec
-      (** predicated / length-agnostic uop (microcode replay only: image
-          code never contains them) *)
-  | Srvv of Rvv.exec
-      (** [vl]-governed stripmined uop (microcode replay only, like
-          [Svla]) *)
+  | Sgov of Governed.t
+      (** governed (VLA / RVV) uop (microcode replay only: image code
+          never contains them) *)
 
 type term =
   | T_fall of int  (** fallthrough into a step-handled pc or next block *)
@@ -585,15 +582,15 @@ let compile_thunk eng ~lanes u =
         f ();
         charge_scratch eng
       else f
-  | Svla p -> (
-      let f = Sem.compile_vla ctx ~lanes p in
-      match p with
-      | Vla.Pred { v; _ } ->
-          (* count predicated executions at the dispatch layer, so the
-             obs conservation invariant (fast + masked = dispatched) has
-             an independent left- and right-hand side. The masked path
-             of an access op records accesses too, so the scratch charge
-             follows the op shape, not the predicate. *)
+  | Sgov g -> (
+      let f = Sem.compile_governed ctx ~lanes g in
+      match g with
+      | Governed.Op { v; _ } ->
+          (* count governed executions at the dispatch layer, so the obs
+             conservation invariant (fast + masked = dispatched) has an
+             independent left- and right-hand side. The masked path of
+             an access op records accesses too, so the scratch charge
+             follows the op shape, not the governor. *)
           if vinsn_accesses v then fun () ->
             eng.vla_preds <- eng.vla_preds + 1;
             f ();
@@ -601,36 +598,15 @@ let compile_thunk eng ~lanes u =
           else fun () ->
             eng.vla_preds <- eng.vla_preds + 1;
             f ()
-      | Vla.Tbl _ | Vla.Tblst _ ->
-          (* recovered permutations are predicated memory ops: dispatch
+      | Governed.Tbl _ | Governed.Tblst _ ->
+          (* recovered permutations are governed memory ops: dispatch
              counts here, and the per-lane accesses the closure recorded
              go through the scratch charge *)
           fun () ->
             eng.vla_preds <- eng.vla_preds + 1;
             f ();
             charge_scratch eng
-      | Vla.Tblidx _ | Vla.Whilelt _ | Vla.Incvl _ -> f)
-  | Srvv r -> (
-      let f = Sem.compile_rvv ctx ~lanes r in
-      match r with
-      | Rvv.Vl { v } ->
-          (* same dispatch-layer counting as [Svla]: the grant-governed
-             body op lands in [vla_preds] so the obs conservation
-             invariant (fast + masked = dispatched) spans both remainder
-             mechanisms *)
-          if vinsn_accesses v then fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-          else fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ()
-      | Rvv.Tbl _ | Rvv.Tblst _ ->
-          fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-      | Rvv.Tblidx _ | Rvv.Vsetvl _ | Rvv.Addvl _ -> f)
+      | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> f)
 
 (* Bake the slot's icache line probe in front of its thunk, so the
    replay loop is a bare closure call per micro-op. *)
@@ -797,7 +773,7 @@ let[@inline] entry_stall eng pending b =
       | Some _ | None -> ())
   | None -> ()
 
-(* A micro-op raised mid-block (only [Svec]/[Svla]/[Srvv] can: Sigill on
+(* A micro-op raised mid-block (only [Svec]/[Sgov] can: Sigill on
    an unsupported permutation or mismatched constant width). Re-apply the
    per-step accounting [step] would have accumulated through the
    faulting slot, so the escaping diagnostics (pc, cycle, retired)
@@ -1135,7 +1111,7 @@ let form_super eng latch ~head ~cond ~key ~fall =
          plain counters; the handler reads the index back instead of
          the loop maintaining a position ref per thunk call. *)
       let can_raise = function
-        | Spred _ | Svec _ | Svla _ | Srvv _ -> true
+        | Spred _ | Svec _ | Sgov _ -> true
         | Smov_i _ | Smov_r _ | Sdp_i _ | Sdp_r _ | Scmp_i _ | Scmp_r _
         | Sld _ | Sst _ ->
             false
@@ -1419,33 +1395,19 @@ let compile_useg eng uc j =
         charges := vector_charge eng ~lanes:width v :: !charges;
         incr nu;
         incr i
-    | Ucode.UP p ->
-        acc := Svla p :: !acc;
+    | Ucode.UG g ->
+        acc := Sgov g :: !acc;
         charges :=
-          (match p with
-          | Vla.Pred { v; _ } -> vector_charge eng ~lanes:width v
-          | Vla.Tbl { esize; _ } | Vla.Tblst { esize; _ } ->
+          (match g with
+          | Governed.Op { v; _ } -> vector_charge eng ~lanes:width v
+          | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
               (* gather-style bus timing, matching the stepping
                  interpreter's charge for recovered permutations *)
               1
               + width
                 * ((Esize.bytes esize + eng.vec_bus_bytes - 1)
                   / eng.vec_bus_bytes)
-          | Vla.Tblidx _ | Vla.Whilelt _ | Vla.Incvl _ -> 1)
-          :: !charges;
-        incr nu;
-        incr i
-    | Ucode.UR r ->
-        acc := Srvv r :: !acc;
-        charges :=
-          (match r with
-          | Rvv.Vl { v } -> vector_charge eng ~lanes:width v
-          | Rvv.Tbl { esize; _ } | Rvv.Tblst { esize; _ } ->
-              1
-              + width
-                * ((Esize.bytes esize + eng.vec_bus_bytes - 1)
-                  / eng.vec_bus_bytes)
-          | Rvv.Tblidx _ | Rvv.Vsetvl _ | Rvv.Addvl _ -> 1)
+          | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> 1)
           :: !charges;
         incr nu;
         incr i
@@ -1467,8 +1429,7 @@ let compile_useg eng uc j =
           (fun a u ->
             match u with
             | Svec _ -> a + 1
-            | Svla p when Vla.is_vector p -> a + 1
-            | Srvv r when Rvv.is_vector r -> a + 1
+            | Sgov g when Governed.is_vector g -> a + 1
             | _ -> a)
           0 us_uops
       in
@@ -1512,8 +1473,7 @@ let repair_useg eng seg k =
   for j = 0 to k do
     (match seg.us_uops.(j) with
     | Svec _ -> incr vectors
-    | Svla p when Vla.is_vector p -> incr vectors
-    | Srvv r when Rvv.is_vector r -> incr vectors
+    | Sgov g when Governed.is_vector g -> incr vectors
     | _ -> incr scalars);
     cyc := !cyc + seg.us_charge.(j)
   done;

@@ -117,6 +117,7 @@ val super_bailouts : t -> int
     (telemetry). *)
 
 val vla_preds : t -> int
-(** Predicated vector micro-ops ({!Liquid_visa.Vla.Pred}) dispatched by
-    this engine — the engine's share of the obs conservation invariant
-    [pred_fast + pred_masked = dispatched predicated ops]. *)
+(** Governed datapath micro-ops ({!Liquid_visa.Governed.Op},
+    [Tbl], [Tblst]) dispatched by this engine — the engine's share of
+    the obs conservation invariant
+    [pred_fast + pred_masked = dispatched governed ops]. *)

@@ -275,6 +275,19 @@ let charge_vector_mem st (v : Vinsn.exec) =
         * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1) / st.cfg.vec_bus_bytes))
   | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ | Vinsn.Vred _ -> ()
 
+(* The static charges of one vector-instruction dispatch: issue, the
+   multiplier and reduction-tree extras, and the bus beats. A governed
+   op pays the same as its ungoverned form — a partial count masks
+   lanes, it does not shorten the machine's bus or issue timing. *)
+let charge_vector st (v : Vinsn.exec) =
+  st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
+  charge st 1;
+  (match v with
+  | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
+  | Vinsn.Vred _ -> charge st 1
+  | _ -> ());
+  charge_vector_mem st v
+
 let diag st fault =
   Diag.Error
     (Diag.make ~fault ~pc:st.pc ~cycle:st.stats.Stats.cycles
@@ -444,35 +457,21 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
         incr ui
     | Ucode.UV v ->
         fuel_check st;
-        st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-        charge st 1;
-        (match v with
-        | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-        | Vinsn.Vred _ -> charge st 1
-        | _ -> ());
-        charge_vector_mem st v;
+        charge_vector st v;
         Sem.exec_vector st.ctx v;
         charge_accesses st;
         incr ui
-    | Ucode.UP p ->
+    | Ucode.UG g ->
         fuel_check st;
-        (* Predicate/counter management is loop-control overhead and
-           accounts as scalar work; a predicated datapath op is vector
-           work with the same static (full-width) charges as its
-           unpredicated form — predication masks lanes, it does not
-           shorten the machine's bus or issue timing. *)
-        (match p with
-        | Vla.Pred { v; _ } ->
+        (* Governor and counter management is loop-control overhead and
+           accounts as scalar work; a governed datapath op is vector
+           work with the static charges of its ungoverned form. *)
+        (match g with
+        | Governed.Op { v; _ } ->
             st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            (match v with
-            | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-            | Vinsn.Vred _ -> charge st 1
-            | _ -> ());
-            charge_vector_mem st v
-        | Vla.Tbl { esize; _ } | Vla.Tblst { esize; _ } ->
-            (* A recovered permutation: a predicated dispatch with
+            charge_vector st v
+        | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
+            (* A recovered permutation: a governed dispatch with
                gather-style bus timing — one beat per lane, no
                coalescing, elements never span beats unless wider than
                the bus. *)
@@ -483,48 +482,13 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
               (st.ctx.Sem.lanes
               * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1)
                 / st.cfg.vec_bus_bytes))
-        | Vla.Tblidx _ ->
+        | Governed.Tblidx _ ->
             st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
             charge st 1
-        | Vla.Whilelt _ | Vla.Incvl _ ->
+        | Governed.Set_active _ | Governed.Advance _ ->
             st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
             charge st 1);
-        Sem.exec_vla st.ctx p;
-        charge_accesses st;
-        incr ui
-    | Ucode.UR r ->
-        fuel_check st;
-        (* The RVV grant plays the VLA predicate's role, so the charge
-           discipline is identical: [vsetvl]/counter management is
-           loop-control overhead accounted as scalar work; a
-           grant-governed datapath op is vector work with full-width
-           static charges — a shortened grant masks lanes, it does not
-           shorten the machine's bus or issue timing. *)
-        (match r with
-        | Rvv.Vl { v } ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            (match v with
-            | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-            | Vinsn.Vred _ -> charge st 1
-            | _ -> ());
-            charge_vector_mem st v
-        | Rvv.Tbl { esize; _ } | Rvv.Tblst { esize; _ } ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            charge st
-              (st.ctx.Sem.lanes
-              * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1)
-                / st.cfg.vec_bus_bytes))
-        | Rvv.Tblidx _ ->
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1
-        | Rvv.Vsetvl _ | Rvv.Addvl _ ->
-            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-            charge st 1);
-        Sem.exec_rvv st.ctx r;
+        Sem.exec_governed st.ctx g;
         charge_accesses st;
         incr ui
     | Ucode.UB { cond; target } ->
@@ -781,13 +745,7 @@ let step st =
       | Some _ ->
           fuel_check st;
           trace_insn st pc (Minsn.V v);
-          st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-          charge st 1;
-          (match v with
-          | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-          | Vinsn.Vred _ -> charge st 1
-          | _ -> ());
-          charge_vector_mem st v;
+          charge_vector st v;
           Sem.exec_vector st.ctx v;
           charge_accesses st;
           st.pc <- pc + 1)

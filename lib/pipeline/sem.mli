@@ -21,14 +21,12 @@ type ctx = {
   mutable flags : Flags.t;
   vregs : int array array;  (** 16 vector registers x maximum lanes *)
   preds : int array;
-      (** predicate registers of the VLA target, each stored as its
-          active-lane count — [whilelt] only ever produces prefix
-          predicates, so the count is a complete representation *)
-  mutable vl : int;
-      (** vector-length grant of the RVV target: the element count the
-          last {!Rvv.Vsetvl} granted. A single CSR governs every RVV
-          body operation — semantically a prefix predicate of [vl]
-          active lanes, without a predicate file *)
+      (** one active-lane count per governor, indexed by
+          {!Governed.slot}: the VLA target's predicate registers
+          ([whilelt] only ever produces prefix predicates, so the count
+          is a complete representation) and, in the last slot, the RVV
+          target's [vl] grant — semantically a prefix predicate of [vl]
+          active lanes *)
   mutable lanes : int;  (** active vector width for vector instructions *)
   mem : Liquid_machine.Memory.t;
   mutable e_value : int;
@@ -42,14 +40,15 @@ type ctx = {
   gather_tmp : int array;
   blk : Bytes.t;
   mutable n_pred_fast : int;
-      (** predicated vector executions ({!Vla.Pred}) taken on the
-          all-true fast path: the governing predicate covered every lane,
-          so the unmasked fixed-width semantics ran verbatim *)
+      (** governed datapath executions ({!Governed.Op}, {!Governed.Tbl},
+          {!Governed.Tblst}) taken on the all-true fast path: the
+          governor covered every lane, so the unmasked fixed-width
+          semantics ran verbatim *)
   mutable n_pred_masked : int;
-      (** predicated vector executions that paid the masked path *)
+      (** governed datapath executions that paid the masked path *)
   mutable n_tbl_builds : int;
       (** table-lookup index vectors materialized from the runtime
-          vector length ({!Vla.Tblidx} executions) *)
+          vector length ({!Governed.Tblidx} executions) *)
 }
 
 val create_ctx : Liquid_machine.Memory.t -> ctx
@@ -86,36 +85,25 @@ val exec_vector : ctx -> Vinsn.exec -> unit
     unsupported at that width or a constant vector of mismatched
     length. *)
 
-val exec_vla : ctx -> Vla.exec -> unit
-(** Executes one vector-length-agnostic operation. [Whilelt] writes the
-    predicate's active-lane count ([min (max (bound - counter) 0) lanes])
-    and sets the flags from the signed comparison of counter and bound;
-    [Incvl] advances its register by the active lane count; [Pred]
-    executes the wrapped vector instruction under the governing
-    predicate with zeroing semantics — a full predicate delegates to
-    {!exec_vector}, a partial one loads/stores only active elements,
-    zeroes inactive destination lanes, and folds reductions over active
-    lanes only. The table-lookup family executes recovered permutations:
-    [Tblidx] counts an index-vector build ([n_tbl_builds]); [Tbl] and
-    [Tblst] gather (resp. scatter) element
-    [Perm.src_index pattern (counter + j)] for each active lane [j],
-    reproducing the scalar loop's permuted access stream at any vector
-    length — they participate in the fast/masked predication tallies
-    like [Pred]. Raises {!Sigill} on a predicated permutation. *)
-
-val exec_rvv : ctx -> Rvv.exec -> unit
-(** Executes one RVV stripmined operation. [Vsetvl] grants
-    [vl := min (max (bound - counter) 0) lanes] and sets the flags from
-    the signed comparison of counter and bound (so the loop back-edge
-    stays an ordinary conditional branch); [Addvl] advances its register
-    by the granted [vl]; [Vl] executes the wrapped vector instruction
-    under the grant — a full grant delegates to {!exec_vector} (counted
-    in [n_pred_fast]), a shortened one runs the masked path over the
-    first [vl] elements with zeroed tail lanes (counted in
-    [n_pred_masked]). The table-lookup family mirrors the VLA one with
-    [vl] in place of a predicate: [Tblidx] counts an index-vector build,
-    [Tbl]/[Tblst] gather (resp. scatter)
-    [Perm.src_index pattern (counter + j)] for each granted lane [j]. *)
+val exec_governed : ctx -> Governed.t -> unit
+(** Executes one governed operation, for the VLA and RVV targets alike:
+    the governor ({!Governed.Pred} or {!Governed.Vl}) only selects the
+    [preds] slot that holds the active-lane count [k].
+    [Set_active] writes [k := min (max (bound - counter) 0) lanes] and
+    sets the flags from the signed comparison of counter and bound (so
+    the loop back-edge stays an ordinary conditional branch); [Advance]
+    adds the lane count ([Lanes]) or the last [vl] grant ([Granted]) to
+    its register; [Op] executes the wrapped vector instruction under
+    [k] — a full count delegates to {!exec_vector} (counted in
+    [n_pred_fast]), a partial one loads/stores only active elements,
+    zeroes inactive destination lanes and folds reductions over active
+    lanes only (counted in [n_pred_masked]). The table-lookup family
+    executes recovered permutations: [Tblidx] counts an index-vector
+    build ([n_tbl_builds]); [Tbl] and [Tblst] gather (resp. scatter)
+    element [Perm.src_index pattern (counter + j)] for each active lane
+    [j], reproducing the scalar loop's permuted access stream at any
+    vector length, and take part in the fast/masked tallies like [Op].
+    Raises {!Sigill} on a governed permutation. *)
 
 val last_effect : ctx -> effect
 (** Materializes the scratch effect of the most recent [exec_*] call as
@@ -170,16 +158,11 @@ val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
 val compile_vector : ctx -> lanes:int -> Vinsn.exec -> unit -> unit
 (** Compile one fixed-width vector instruction at width [lanes]. *)
 
-val compile_vla : ctx -> lanes:int -> Vla.exec -> unit -> unit
-(** Compile one VLA operation at vector length [lanes]. A compiled
-    [Pred] keeps the fast/masked split of {!exec_vla}: full predicates
-    run the pre-compiled unmasked closure (counted in [n_pred_fast]),
-    partial ones fall back to the interpretive masked path (counted in
-    [n_pred_masked]). *)
-
-val compile_rvv : ctx -> lanes:int -> Rvv.exec -> unit -> unit
-(** Compile one RVV operation at vector length [lanes]. A compiled [Vl]
-    keeps the fast/masked split of {!exec_rvv}: full [vl] grants run the
-    pre-compiled unmasked closure (counted in [n_pred_fast]), shortened
-    grants fall back to the interpretive masked path (counted in
+val compile_governed : ctx -> lanes:int -> Governed.t -> unit -> unit
+(** Compile one governed operation at vector length [lanes]. The
+    governor is resolved to its [preds] slot at compile time, so the
+    closure reads one int cell and never dispatches on it. A compiled
+    [Op] keeps the fast/masked split of {!exec_governed}: a full count
+    runs the pre-compiled unmasked closure (counted in [n_pred_fast]), a
+    partial one falls back to the interpretive masked path (counted in
     [n_pred_masked]). *)

@@ -1,7 +1,7 @@
 open Liquid_isa
 open Liquid_visa
 
-type kind = Fixed | Vla | Rvv
+type kind = Ucode.kind = Fixed | Vla | Rvv
 
 type perm_lowering = Perm_native | Perm_table | Perm_abort
 
@@ -82,47 +82,64 @@ module Fixed_width : S = struct
     no_table_lowering name
 end
 
+(* The emission hooks both governed targets share: every loop-control
+   and datapath uop runs under one governor, and only the governor and
+   the induction advance differ between VLA and RVV. *)
+module Governed_hooks (G : sig
+  val gov : Governed.gov
+  val by : Governed.advance
+end) =
+struct
+  let set_active ~induction ~bound =
+    Ucode.UG (Governed.Set_active { into = G.gov; counter = induction; bound })
+
+  (* Predication (resp. the vsetvl grant) absorbs any remainder: the
+     loop always runs at the full hardware width, with ceil(trips /
+     lanes) governed iterations and no divisibility requirement. *)
+  let effective_width ~lanes ~trips =
+    if trips > 0 then Ok lanes else Error Abort.Bad_trip_count
+
+  let permutation = Perm_table
+  let loop_header ~induction ~bound = [ set_active ~induction ~bound ]
+  let body_vector v = Ucode.UG (Governed.Op { gov = G.gov; v })
+
+  let induction_step ~dst ~width:_ =
+    Ucode.UG (Governed.Advance { dst; by = G.by })
+
+  let trip_compare ~insn:_ ~induction ~bound = set_active ~induction ~bound
+
+  let perm_index_build ~pattern =
+    Ucode.UG (Governed.Tblidx { gov = G.gov; pattern })
+
+  let perm_gather ~esize ~signed ~dst ~base ~counter ~pattern =
+    Ucode.UG
+      (Governed.Tbl { gov = G.gov; esize; signed; dst; base; counter; pattern })
+
+  let perm_scatter ~esize ~src ~base ~counter ~pattern =
+    Ucode.UG
+      (Governed.Tblst { gov = G.gov; esize; src; base; counter; pattern })
+end
+
 module Vla_target : S = struct
   let kind = Vla
   let name = "vla"
 
-  (* Predication absorbs any remainder: the loop always runs at the full
-     hardware width, with ceil(trips / lanes) predicated iterations and
-     no divisibility requirement. *)
-  let effective_width ~lanes ~trips =
-    if trips > 0 then Ok lanes else Error Abort.Bad_trip_count
+  include Governed_hooks (struct
+    let gov = Governed.Pred Governed.p0
+    let by = Governed.Lanes
+  end)
 
   let register_group ~lanes:_ ~pressure:_ = 1
-  let permutation = Perm_table
-
-  let loop_header ~induction ~bound =
-    [ Ucode.UP (Vla.Whilelt { pred = Vla.p0; counter = induction; bound }) ]
-
-  let body_vector v = Ucode.UP (Vla.Pred { pred = Vla.p0; v })
-  let induction_step ~dst ~width:_ = Ucode.UP (Vla.Incvl { dst })
-
-  let trip_compare ~insn:_ ~induction ~bound =
-    Ucode.UP (Vla.Whilelt { pred = Vla.p0; counter = induction; bound })
-
-  let perm_index_build ~pattern = Ucode.UP (Vla.Tblidx { pattern })
-
-  let perm_gather ~esize ~signed ~dst ~base ~counter ~pattern =
-    Ucode.UP
-      (Vla.Tbl { pred = Vla.p0; esize; signed; dst; base; counter; pattern })
-
-  let perm_scatter ~esize ~src ~base ~counter ~pattern =
-    Ucode.UP (Vla.Tblst { pred = Vla.p0; esize; src; base; counter; pattern })
 end
 
 module Rvv_target : S = struct
   let kind = Rvv
   let name = "rvv"
 
-  (* The vsetvl grant absorbs any remainder, exactly as VLA predication
-     does: ceil(trips / width) stripmined iterations, the last running
-     under a shortened grant, with no divisibility requirement. *)
-  let effective_width ~lanes ~trips =
-    if trips > 0 then Ok lanes else Error Abort.Bad_trip_count
+  include Governed_hooks (struct
+    let gov = Governed.Vl
+    let by = Governed.Granted
+  end)
 
   (* LMUL register grouping: gang [m] architectural vector registers
      into one logical operand, multiplying the datapath width the
@@ -140,31 +157,14 @@ module Rvv_target : S = struct
       else go (m / 2)
     in
     go 8
-
-  let permutation = Perm_table
-
-  let loop_header ~induction ~bound =
-    [ Ucode.UR (Rvv.Vsetvl { counter = induction; bound }) ]
-
-  let body_vector v = Ucode.UR (Rvv.Vl { v })
-  let induction_step ~dst ~width:_ = Ucode.UR (Rvv.Addvl { dst })
-
-  let trip_compare ~insn:_ ~induction ~bound =
-    Ucode.UR (Rvv.Vsetvl { counter = induction; bound })
-
-  let perm_index_build ~pattern = Ucode.UR (Rvv.Tblidx { pattern })
-
-  let perm_gather ~esize ~signed ~dst ~base ~counter ~pattern =
-    Ucode.UR (Rvv.Tbl { esize; signed; dst; base; counter; pattern })
-
-  let perm_scatter ~esize ~src ~base ~counter ~pattern =
-    Ucode.UR (Rvv.Tblst { esize; src; base; counter; pattern })
 end
 
 let fixed : t = (module Fixed_width)
 let vla : t = (module Vla_target)
 let rvv : t = (module Rvv_target)
 let all = [ fixed; vla; rvv ]
+
+let of_kind = function Fixed -> fixed | Vla -> vla | Rvv -> rvv
 
 let kind_of (b : t) =
   let module B = (val b) in

@@ -11,11 +11,13 @@
     - the {e fixed-width} target (the paper's Neon-like accelerator)
       picks the widest lane count dividing the trip count and steps the
       induction variable by it — a non-dividing trip count aborts;
-    - the {e vector-length-agnostic} target ({!Liquid_visa.Vla}) always
-      runs at full hardware width under a [whilelt] governing predicate,
+    - the {e vector-length-agnostic} target always runs at full
+      hardware width under a [whilelt] governing predicate
+      ({!Liquid_visa.Governed.Pred}),
       so any positive trip count translates and the final iteration may
       be partial;
-    - the {e RVV-style} target ({!Liquid_visa.Rvv}) stripmines: a
+    - the {e RVV-style} target stripmines under the
+      {!Liquid_visa.Governed.Vl} grant: a
       [vsetvl] request-grant pair sets the vector-length CSR each
       iteration, the induction variable advances by the granted length,
       and a non-dividing trip count simply runs its final iteration
@@ -31,8 +33,8 @@
     while the VLA and RVV targets — whose runtime width need not divide
     (or even reach) the pattern's period — lower the same shapes to
     table-lookup memory ops over an index vector materialized at
-    runtime ({!Liquid_visa.Vla.Tbl} under a predicate,
-    {!Liquid_visa.Rvv.Tbl} under the [vl] grant).
+    runtime ({!Liquid_visa.Governed.Tbl}, under a predicate or the
+    [vl] grant).
     {!Abort.Unportable_permutation} remains only for genuinely
     data-dependent shuffles whose offset stream cannot be proven
     loop-invariant. *)
@@ -40,13 +42,15 @@
 open Liquid_isa
 open Liquid_visa
 
-type kind = Fixed | Vla | Rvv
+type kind = Ucode.kind = Fixed | Vla | Rvv
+(** Re-export of {!Ucode.kind}: the backend a microcode sequence came
+    from. *)
 
 type perm_lowering =
   | Perm_native  (** CAM match, emit a register permute ({!Vinsn.Vperm}). *)
   | Perm_table
       (** Lower to table-lookup memory ops with a runtime-built index
-          vector ({!Liquid_visa.Vla.Tbl} / {!Liquid_visa.Rvv.Tbl}),
+          vector ({!Liquid_visa.Governed.Tbl}),
           via the backend's {!S.perm_index_build} / {!S.perm_gather} /
           {!S.perm_scatter} hooks. *)
   | Perm_abort
@@ -147,6 +151,9 @@ val rvv : t
 
 val all : t list
 (** All three backends, for sweeps. *)
+
+val of_kind : kind -> t
+(** The backend of a kind: [kind_of (of_kind k) = k]. *)
 
 val kind_of : t -> kind
 val name_of : t -> string

@@ -902,7 +902,7 @@ let guard_offset_stream t ~trips ~lineage values =
    table-lookup memory op, so the placeholder and its partner load or
    store collapse into a single gather/scatter uop whose index vector is
    materialized at runtime from the actual vector length. The concrete
-   encoding (predicated [Vla.Tbl] versus grant-governed [Rvv.Tbl]) comes
+   encoding (a [Governed.Tbl] under a predicate or the [vl] grant) comes
    from the backend's perm hooks. The pattern is matched at its own
    period — the hardware width need not divide, or even reach, the
    period — and the offsets are matched element-wise over the whole
@@ -982,15 +982,13 @@ let resolve_perm t ~width ~trips idx slot =
 let uop_uses_vector u =
   match u with
   | Ucode.UV v -> Vinsn.uses_vector v
-  | Ucode.UP p -> Vla.uses_vector p
-  | Ucode.UR r -> Rvv.uses_vector r
+  | Ucode.UG g -> Governed.uses_vector g
   | Ucode.US _ | Ucode.UB _ | Ucode.URet -> []
 
 let uop_defs_vector u =
   match u with
   | Ucode.UV v -> Vinsn.defs_vector v
-  | Ucode.UP p -> Vla.defs_vector p
-  | Ucode.UR r -> Rvv.defs_vector r
+  | Ucode.UG g -> Governed.defs_vector g
   | Ucode.US _ | Ucode.UB _ | Ucode.URet -> []
 
 let vreg_used_by content vr =
@@ -1179,7 +1177,7 @@ let finish t =
           match u with
           | Ucode.UB { cond; target = _ } ->
               arr.(i) <- Ucode.UB { cond; target = !target }
-          | Ucode.US _ | Ucode.UV _ | Ucode.UP _ | Ucode.UR _ | Ucode.URet -> ())
+          | Ucode.US _ | Ucode.UV _ | Ucode.UG _ | Ucode.URet -> ())
         arr;
       if Array.length arr > t.cfg.max_uops then Aborted Abort.Buffer_overflow
       else
@@ -1187,8 +1185,7 @@ let finish t =
           {
             Ucode.uops = arr;
             width;
-            vla = (B.kind = Backend.Vla);
-            rvv = (B.kind = Backend.Rvv);
+            kind = B.kind;
             lmul;
             source_insns = Vec.length t.build_events;
             observed_insns = t.observed;

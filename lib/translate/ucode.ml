@@ -4,8 +4,7 @@ open Liquid_visa
 type uop =
   | US of Insn.exec
   | UV of Vinsn.exec
-  | UP of Vla.exec
-  | UR of Rvv.exec
+  | UG of Governed.t
   | UB of { cond : Cond.t; target : int }
   | URet
 
@@ -16,11 +15,12 @@ type guard = {
   g_expect : int;
 }
 
+type kind = Fixed | Vla | Rvv
+
 type t = {
   uops : uop array;
   width : int;
-  vla : bool;
-  rvv : bool;
+  kind : kind;
   lmul : int;
   source_insns : int;
   observed_insns : int;
@@ -38,8 +38,7 @@ let branch_key ~entry ~max_uops ~index = 0x40000000 + (entry * max_uops) + index
 let pp_uop ppf = function
   | US i -> Insn.pp_exec ppf i
   | UV v -> Vinsn.pp_exec ppf v
-  | UP p -> Vla.pp_exec ppf p
-  | UR r -> Rvv.pp_exec ppf r
+  | UG g -> Governed.pp ppf g
   | UB { cond; target } ->
       Format.fprintf ppf "b%s u%d"
         (match cond with Cond.Al -> "" | c -> Cond.suffix c)
@@ -48,9 +47,10 @@ let pp_uop ppf = function
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>; microcode (%d-wide%s, %d uops%s)@ " t.width
-    (if t.vla then " vla"
-     else if t.rvv then Printf.sprintf " rvv m%d" t.lmul
-     else "")
+    (match t.kind with
+    | Fixed -> ""
+    | Vla -> " vla"
+    | Rvv -> Printf.sprintf " rvv m%d" t.lmul)
     (Array.length t.uops)
     (match Array.length t.guards with
     | 0 -> ""

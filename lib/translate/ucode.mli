@@ -12,12 +12,9 @@ open Liquid_visa
 type uop =
   | US of Insn.exec  (** pass-through scalar instruction (never a branch) *)
   | UV of Vinsn.exec
-  | UP of Vla.exec
-      (** predicated / vector-length-agnostic operation — only emitted by
-          the VLA backend *)
-  | UR of Rvv.exec
-      (** [vl]-governed stripmined operation — only emitted by the RVV
-          backend *)
+  | UG of Governed.t
+      (** governed operation — only emitted by the VLA backend (under a
+          predicate) and the RVV backend (under the [vl] grant) *)
   | UB of { cond : Cond.t; target : int }  (** intra-microcode branch *)
   | URet
 
@@ -36,6 +33,12 @@ type guard = {
     source (e.g. a fission scratch array rewritten by an earlier region)
     otherwise leaves the constant stale. *)
 
+(** Which backend produced a sequence; {!Backend} re-exports it. *)
+type kind =
+  | Fixed  (** fixed-width (Neon-like): plain vector ops *)
+  | Vla  (** vector-length-agnostic: predicate-governed ops *)
+  | Rvv  (** RVV-style stripmining: [vl]-governed ops, LMUL groups *)
+
 type t = {
   uops : uop array;
   width : int;
@@ -46,8 +49,7 @@ type t = {
           under a partial predicate; for the RVV backend it is the
           accelerator width times the [lmul] register-group factor and
           the final iteration may run under a shortened [vl] grant *)
-  vla : bool;  (** translated by the vector-length-agnostic backend *)
-  rvv : bool;  (** translated by the RVV-style stripmining backend *)
+  kind : kind;  (** the backend that translated the sequence *)
   lmul : int;
       (** register-group factor the translator chose from this region's
           vector-register pressure: each logical vector value occupies
@@ -81,5 +83,5 @@ val pp_uop : Format.formatter -> uop -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Full listing: a header line naming the effective width, backend
-    flavour (and LMUL group when [rvv]), uop and guard counts, then one
+    flavour (and LMUL group under {!Rvv}), uop and guard counts, then one
     numbered line per micro-op. *)

@@ -32,6 +32,11 @@ let framed_program ?(name = "test") ?(frames = 1) ~data loops =
     data;
   }
 
+(* A Liquid machine variant: fixed-width hardware translation unless
+   told otherwise. *)
+let liquid ?(backend = Liquid_translate.Backend.Fixed) ?(oracle = false) lanes =
+  Liquid_harness.Runner.Liquid { backend; lanes; oracle }
+
 let simple_program ?name ?frames ~data loop =
   framed_program ?name ?frames ~data [ loop ]
 

@@ -33,10 +33,10 @@ let variants =
   @ List.concat_map
       (fun w ->
         [
-          Runner.Liquid w;
-          Runner.Liquid_oracle w;
-          Runner.Liquid_vla w;
-          Runner.Liquid_vla_oracle w;
+          Helpers.liquid w;
+          Helpers.liquid ~oracle:true w;
+          Helpers.liquid ~backend:Liquid_translate.Backend.Vla w;
+          Helpers.liquid ~backend:Liquid_translate.Backend.Vla ~oracle:true w;
         ])
       widths
 

@@ -73,7 +73,7 @@ let test_abort_sweep w width () =
 let test_evict_retranslate () =
   let w = Option.get (Workload.find "FIR") in
   let width = 4 in
-  let program = Runner.program_of w (Runner.Liquid width) in
+  let program = Runner.program_of w (Helpers.liquid width) in
   let image = Image.of_program program in
   let sp = Campaign.probe w ~width in
   check_bool "enough region calls to evict between" true (sp.Fault.sp_calls > 4);
@@ -113,7 +113,7 @@ let test_evict_retranslate () =
   check_int "eviction fired once" 1 (armed.Fault.fired ());
   check_int "stats count the eviction" 1 run.Cpu.stats.Stats.ucode_evictions;
   (* Clean reference at the same width. *)
-  let clean = Runner.run w (Runner.Liquid width) in
+  let clean = Runner.run w (Helpers.liquid width) in
   check_int "one extra install for the retranslation"
     (clean.Runner.run.Cpu.stats.Stats.ucode_installs + 1)
     run.Cpu.stats.Stats.ucode_installs;
@@ -165,7 +165,7 @@ let test_evict_retranslate () =
 
 let test_oracle_catches_corruption () =
   let w = Option.get (Workload.find "FIR") in
-  let { Runner.run; program; _ } = Runner.run w (Runner.Liquid 4) in
+  let { Runner.run; program; _ } = Runner.run w (Helpers.liquid 4) in
   let image = Image.of_program program in
   check_bool "clean translated run passes" true (Oracle.equivalent w image run);
   let mask = Oracle.junk_mask w in

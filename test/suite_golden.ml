@@ -126,9 +126,9 @@ let goldens =
 
 let variant_of_name = function
   | "baseline" -> Runner.Baseline
-  | "liquid/8-wide" -> Runner.Liquid 8
-  | "liquid-vla/8-wide" -> Runner.Liquid_vla 8
-  | "liquid-rvv/8-wide" -> Runner.Liquid_rvv 8
+  | "liquid/8-wide" -> liquid 8
+  | "liquid-vla/8-wide" -> liquid ~backend:Liquid_translate.Backend.Vla 8
+  | "liquid-rvv/8-wide" -> liquid ~backend:Liquid_translate.Backend.Rvv 8
   | s -> invalid_arg ("variant_of_name: " ^ s)
 
 let check_row (wname, vname, g) () =

@@ -160,7 +160,7 @@ let test_figure6_speedups_monotone_or_flat () =
   let art = match Workload.find "179.art" with Some w -> w | None -> assert false in
   let speedup w lanes =
     let base = (Runner.run w Runner.Baseline).Runner.run in
-    let run = (Runner.run w (Runner.Liquid lanes)).Runner.run in
+    let run = (Runner.run w (Helpers.liquid lanes)).Runner.run in
     Runner.speedup ~baseline:base run
   in
   let fir2 = speedup fir 2 and fir8 = speedup fir 8 in
@@ -170,27 +170,65 @@ let test_figure6_speedups_monotone_or_flat () =
 
 let test_region_first_gap () =
   let w = match Workload.find "GSM Dec." with Some w -> w | None -> assert false in
-  let { Runner.run; _ } = Runner.run w (Runner.Liquid 8) in
+  let { Runner.run; _ } = Runner.run w (Helpers.liquid 8) in
   match Experiments.region_first_gap run with
   | [ (_, gap) ] -> check_bool "positive gap" true (gap > 0)
   | _ -> Alcotest.fail "one region expected"
 
+(* Every variant shape: baseline, scalar Liquid, each backend x oracle
+   x paper width, and native at each paper width. *)
+let all_variants =
+  let module B = Liquid_translate.Backend in
+  let widths = [ 2; 4; 8; 16 ] in
+  (Runner.Baseline :: Runner.Liquid_scalar
+  :: List.map (fun w -> Runner.Native w) widths)
+  @ List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun oracle ->
+            List.map
+              (fun lanes -> Runner.Liquid { backend = B.kind_of b; lanes; oracle })
+              widths)
+          [ false; true ])
+      B.all
+
 let test_runner_variants () =
   let w = match Workload.find "LU" with Some w -> w | None -> assert false in
+  let names = List.map Runner.variant_name all_variants in
+  check "display names are distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  (* LU's loops divide by 4, so only that native width must generate *)
   List.iter
     (fun v ->
-      Alcotest.(check string)
-        "name roundtrip" (Runner.variant_name v) (Runner.variant_name v);
-      ignore (Runner.program_of w v))
+      match v with
+      | Runner.Native lanes when lanes <> 4 -> ()
+      | _ -> ignore (Runner.program_of w v))
+    all_variants
+
+let test_variant_round_trip () =
+  List.iter
+    (fun v ->
+      let s = Runner.variant_to_string v in
+      check_bool ("round trip " ^ s) true (Runner.variant_of_string s = Ok v))
+    all_variants;
+  (* every [liquid-] alias normalizes to the canonical spelling *)
+  List.iter
+    (fun (alias, canonical) ->
+      match Runner.variant_of_string alias with
+      | Ok v -> Alcotest.(check string) alias canonical (Runner.variant_to_string v)
+      | Error m -> Alcotest.failf "%s rejected: %s" alias m)
     [
-      Runner.Baseline;
-      Runner.Liquid_scalar;
-      Runner.Liquid 4;
-      Runner.Liquid_oracle 4;
-      Runner.Liquid_vla 4;
-      Runner.Liquid_vla_oracle 4;
-      Runner.Native 4;
-    ]
+      ("liquid-oracle:8", "oracle:8");
+      ("liquid-vla:8", "vla:8");
+      ("liquid-vla-oracle:8", "vla-oracle:8");
+      ("liquid-rvv:8", "rvv:8");
+      ("liquid-rvv-oracle:8", "rvv-oracle:8");
+    ];
+  List.iter
+    (fun bad ->
+      check_bool (bad ^ " rejected") true
+        (Result.is_error (Runner.variant_of_string bad)))
+    [ "vla:0"; "rvv:x"; "foo:8"; "liquid-liquid:8"; "native:-2"; "baseline:8" ]
 
 let tests =
   [
@@ -207,6 +245,7 @@ let tests =
       test_figure6_speedups_monotone_or_flat;
     Alcotest.test_case "region first gap" `Quick test_region_first_gap;
     Alcotest.test_case "runner variants" `Quick test_runner_variants;
+    Alcotest.test_case "runner variant round-trip" `Quick test_variant_round_trip;
   ]
 
 (* --- CSV export --- *)
@@ -235,10 +274,10 @@ let test_run_cached_matches_run () =
         ("cycles agree for " ^ Runner.variant_name v)
         fresh.Runner.run.Liquid_pipeline.Cpu.stats.Liquid_machine.Stats.cycles
         cached.Runner.run.Liquid_pipeline.Cpu.stats.Liquid_machine.Stats.cycles)
-    [ Runner.Baseline; Runner.Liquid 8 ];
+    [ Runner.Baseline; Helpers.liquid 8 ];
   (* The translation-latency knob must key the cache for Liquid runs. *)
-  let slow = Runner.run_cached ~translation_cpi:100 w (Runner.Liquid 8) in
-  let fast = Runner.run_cached ~translation_cpi:1 w (Runner.Liquid 8) in
+  let slow = Runner.run_cached ~translation_cpi:100 w (Helpers.liquid 8) in
+  let fast = Runner.run_cached ~translation_cpi:1 w (Helpers.liquid 8) in
   check_bool "cpi keys the cache" true (not (slow == fast));
   Runner.clear_cache ()
 

@@ -127,7 +127,7 @@ let widths = [ 2; 4; 8; 16 ]
 let matrix_variants =
   Runner.Baseline
   :: List.concat_map
-       (fun w -> [ Runner.Liquid w; Runner.Liquid_oracle w ])
+       (fun w -> [ Helpers.liquid w; Helpers.liquid ~oracle:true w ])
        widths
 
 (* The explicit single-writer assertions the issue calls out: the Stats
@@ -209,7 +209,7 @@ let test_fault_campaign_invariants () =
           Printf.sprintf "%s / width %d / %s" t.C.t_workload.Workload.name
             t.C.t_width (F.to_string t.C.t_fault)
         in
-        let program = Runner.program_of t.C.t_workload (Runner.Liquid t.C.t_width) in
+        let program = Runner.program_of t.C.t_workload (Helpers.liquid t.C.t_width) in
         let armed = F.arm t.C.t_fault in
         let base = Cpu.liquid_config ~lanes:t.C.t_width in
         let config =
@@ -235,7 +235,7 @@ let test_fault_campaign_invariants () =
 
 let test_collector_fir () =
   let w = find "FIR" in
-  let program = Runner.program_of w (Runner.Liquid 8) in
+  let program = Runner.program_of w (Helpers.liquid 8) in
   let tmp = Filename.temp_file "liquid_obs" ".jsonl" in
   let oc = open_out tmp in
   let collector = Collector.create ~ring_capacity:64 ~jsonl:oc () in
@@ -291,7 +291,7 @@ let test_collector_fir () =
     [ "stats.cycles,"; "ucode_cache.installs,"; "hist.inter_call_gap_cycles.count," ]
 
 let test_schema_rejects () =
-  let snap = Runner.snapshot (Runner.run_cached (find "FFT") (Runner.Liquid 8)) in
+  let snap = Runner.snapshot (Runner.run_cached (find "FFT") (Helpers.liquid 8)) in
   let strip name = function
     | Json.Obj fields -> Json.Obj (List.remove_assoc name fields)
     | j -> j

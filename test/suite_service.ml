@@ -191,8 +191,8 @@ let test_lru_discipline () =
 let test_runner_cache_counters () =
   Runner.clear_cache ();
   let w = find "FIR" in
-  let r1 = Runner.run_cached w (Runner.Liquid 8) in
-  let r2 = Runner.run_cached w (Runner.Liquid 8) in
+  let r1 = Runner.run_cached w (Helpers.liquid 8) in
+  let r2 = Runner.run_cached w (Helpers.liquid 8) in
   check_bool "memo returns the shared result" true (r1 == r2);
   let k = Runner.cache_counters () in
   check "one resident entry" 1 k.Lru.l_occupancy;
@@ -255,7 +255,7 @@ let test_retry_then_succeed () =
       check_str "status" "ok" (jstr "status" r);
       check "second attempt wins" 2 (jint "attempts" r);
       (* the converged result is the same simulation a direct run gives *)
-      let direct = Runner.run (find "FIR") (Runner.Liquid 8) in
+      let direct = Runner.run (find "FIR") (Helpers.liquid 8) in
       check "cycles match direct run"
         direct.Runner.run.Liquid_pipeline.Cpu.stats
           .Liquid_machine.Stats.cycles

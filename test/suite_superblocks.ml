@@ -39,10 +39,10 @@ let variants =
   @ List.concat_map
       (fun w ->
         [
-          Runner.Liquid w;
-          Runner.Liquid_oracle w;
-          Runner.Liquid_vla w;
-          Runner.Liquid_vla_oracle w;
+          Helpers.liquid w;
+          Helpers.liquid ~oracle:true w;
+          Helpers.liquid ~backend:Liquid_translate.Backend.Vla w;
+          Helpers.liquid ~backend:Liquid_translate.Backend.Vla ~oracle:true w;
         ])
       widths
 
@@ -124,7 +124,7 @@ let test_activity () =
   in
   probe "GSM Dec." Runner.Baseline;
   probe "FIR" Runner.Baseline;
-  probe "MPEG2 Dec." (Runner.Liquid 8)
+  probe "MPEG2 Dec." (Helpers.liquid 8)
 
 (* --- hand-built loops around the formation threshold --- *)
 

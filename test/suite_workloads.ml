@@ -47,8 +47,8 @@ let sweep_workload (w : Workload.t) () =
   compare_runs w base (Runner.run w Runner.Liquid_scalar);
   List.iter
     (fun lanes ->
-      compare_runs w base (Runner.run w (Runner.Liquid lanes));
-      compare_runs w base (Runner.run w (Runner.Liquid_oracle lanes));
+      compare_runs w base (Runner.run w (Helpers.liquid lanes));
+      compare_runs w base (Runner.run w (Helpers.liquid ~oracle:true lanes));
       match Runner.run w (Runner.Native lanes) with
       | res -> compare_runs w base res
       | exception Liquid_scalarize.Codegen.Unsupported_width _ -> ())
@@ -58,7 +58,7 @@ let test_all_translate_at_8 () =
   (* At 8 lanes every benchmark must get real SIMD execution. *)
   List.iter
     (fun (w : Workload.t) ->
-      let { Runner.run; _ } = Runner.run w (Runner.Liquid 8) in
+      let { Runner.run; _ } = Runner.run w (Helpers.liquid 8) in
       check_bool (w.name ^ " has ucode hits") true (run.Cpu.stats.Stats.ucode_hits > 0);
       check_bool (w.name ^ " executes vector instructions") true
         (run.Cpu.stats.Stats.vector_insns > 0))
@@ -67,7 +67,7 @@ let test_all_translate_at_8 () =
 let test_no_unexpected_aborts_at_8 () =
   List.iter
     (fun (w : Workload.t) ->
-      let { Runner.run; _ } = Runner.run w (Runner.Liquid 8) in
+      let { Runner.run; _ } = Runner.run w (Helpers.liquid 8) in
       List.iter
         (fun (r : Cpu.region_report) ->
           match r.Cpu.outcome with
