@@ -764,106 +764,6 @@ let fuzz_cmd =
       const run $ seed_arg $ cases_arg $ smoke_arg $ domains_arg $ no_faults_arg
       $ json_arg)
 
-(* --- serve: the persistent fault-tolerant sweep server --- *)
-
-let serve_cmd =
-  let doc = "Serve simulation jobs over a JSONL request/reply protocol" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Reads one JSON object per line from standard input and answers \
-         on standard output. A job line names a workload and a variant \
-         (plus optional supervision knobs: priority, fuel, deadline_ms, \
-         retries, blocks, superblocks, fault_seed, transient_attempts); \
-         control lines are {\"op\": \"sync\"} to drain the queue, \
-         {\"op\": \"metrics\"} for the counters document and {\"op\": \
-         \"quit\"} to drain and stop. Every job is supervised: deadlines, \
-         bounded retry with exponential backoff on transient failures, a \
-         per-(workload, variant) circuit breaker that degrades poisoned \
-         combinations to the scalar baseline, load shedding above the \
-         high-water mark, and reply deduplication. The protocol reference \
-         is in docs/ARCHITECTURE.md.";
-    ]
-  in
-  let script_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:
-            "Read the whole request script from $(docv) instead of serving \
-             standard input interactively (used by the golden-transcript \
-             test).")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the dispatch pool (default: the runtime's \
-             recommendation). Use 1 for a deterministic reply order.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int Liquid_service.Service.default_config.Liquid_service.Service.retries
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Default transient re-attempts per job.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int Liquid_service.Service.default_config.Liquid_service.Service.seed
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Backoff-jitter seed.")
-  in
-  let high_water_arg =
-    Arg.(
-      value
-      & opt int Liquid_service.Service.default_config.Liquid_service.Service.high_water
-      & info [ "high-water" ] ~docv:"N"
-          ~doc:"Queue depth above which the lowest-priority job is shed.")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int
-          Liquid_service.Service.default_config
-            .Liquid_service.Service.breaker_threshold
-      & info [ "breaker-threshold" ] ~docv:"K"
-          ~doc:
-            "Consecutive permanent failures of one (workload, variant) that \
-             open its circuit breaker.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt float
-          Liquid_service.Service.default_config.Liquid_service.Service.deadline_ms
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Default per-job deadline.")
-  in
-  let run script domains retries seed high_water breaker_threshold deadline_ms =
-    let config =
-      {
-        Liquid_service.Service.default_config with
-        Liquid_service.Service.domains;
-        retries;
-        seed;
-        high_water;
-        breaker_threshold;
-        deadline_ms;
-      }
-    in
-    match script with
-    | Some path ->
-        let text = In_channel.with_open_text path In_channel.input_all in
-        print_string (Liquid_service.Service.run_script ~config text)
-    | None -> Liquid_service.Service.serve ~config stdin stdout
-  in
-  Cmd.v (Cmd.info "serve" ~doc ~man)
-    Term.(
-      const run $ script_arg $ domains_arg $ retries_arg $ seed_arg
-      $ high_water_arg $ threshold_arg $ deadline_arg)
-
 let main =
   let doc = "Liquid SIMD: dynamic mapping of scalarized loops onto SIMD accelerators" in
   Cmd.group (Cmd.info "liquid_cli" ~doc)
@@ -879,7 +779,6 @@ let main =
       hwmodel_cmd;
       faults_cmd;
       fuzz_cmd;
-      serve_cmd;
     ]
 
 let () = exit (Cmd.eval main)

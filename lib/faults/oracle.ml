@@ -39,31 +39,13 @@ let mask_of_image (image : Image.t) =
     image.Image.region_entries;
   mask
 
-let mask_cache : (string, bool array) Hashtbl.t = Hashtbl.create 16
-let mask_mutex = Mutex.create ()
-
-let junk_mask (w : Workload.t) =
-  let key = w.Workload.name in
-  match Mutex.protect mask_mutex (fun () -> Hashtbl.find_opt mask_cache key) with
-  | Some m -> m
-  | None ->
-      let scalar = Runner.run_cached w Runner.Liquid_scalar in
-      let image = Image.of_program scalar.Runner.program in
-      let mask = mask_of_image image in
-      Mutex.protect mask_mutex (fun () ->
-          match Hashtbl.find_opt mask_cache key with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.replace mask_cache key mask;
-              mask)
-
-(* --- fingerprints --- *)
+(* --- the scalar reference --- *)
 
 type fp = { fp_regs : int; fp_mem : int }
 
-let fingerprint (w : Workload.t) image (run : Cpu.run) =
+let fp_of ~mask image (run : Cpu.run) =
   {
-    fp_regs = Fingerprint.regs_hash_masked ~mask:(junk_mask w) run.Cpu.regs;
+    fp_regs = Fingerprint.regs_hash_masked ~mask run.Cpu.regs;
     fp_mem = Fingerprint.mem_hash image run.Cpu.memory;
   }
 
@@ -72,10 +54,43 @@ let fingerprint (w : Workload.t) image (run : Cpu.run) =
    whose register file legitimately differs (different code layout,
    different loop bookkeeping). Anything the translation path does,
    including aborting at an arbitrary DFA state, must land on exactly
-   this state. Memoized via the runner's process-wide cache. *)
-let reference (w : Workload.t) =
-  let r = Runner.run_cached w Runner.Liquid_scalar in
-  fingerprint w (Image.of_program r.Runner.program) r.Runner.run
+   this state.
+
+   The run comes from the runner's process-wide cache, so every domain
+   sees the same [Memory.t], and reading a memory updates its page
+   cache: two domains hashing it at once tear that cache and hash the
+   wrong page. The mask and fingerprint are therefore computed once per
+   workload, the hashing under the lock, and only immutable results are
+   shared. *)
+type reference_entry = { r_mask : bool array; r_fp : fp }
+
+let references : (string, reference_entry) Hashtbl.t = Hashtbl.create 16
+let references_mutex = Mutex.create ()
+
+let reference_entry (w : Workload.t) =
+  let key = w.Workload.name in
+  match
+    Mutex.protect references_mutex (fun () -> Hashtbl.find_opt references key)
+  with
+  | Some e -> e
+  | None ->
+      let scalar = Runner.run_cached w Runner.Liquid_scalar in
+      let image = Image.of_program scalar.Runner.program in
+      let mask = mask_of_image image in
+      Mutex.protect references_mutex (fun () ->
+          match Hashtbl.find_opt references key with
+          | Some winner -> winner
+          | None ->
+              let e =
+                { r_mask = mask; r_fp = fp_of ~mask image scalar.Runner.run }
+              in
+              Hashtbl.replace references key e;
+              e)
+
+let junk_mask w = (reference_entry w).r_mask
+let reference w = (reference_entry w).r_fp
+
+let fingerprint w image run = fp_of ~mask:(junk_mask w) image run
 
 type mismatch = { m_want : fp; m_got : fp }
 

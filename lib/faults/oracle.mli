@@ -40,7 +40,10 @@ val fingerprint : Workload.t -> Image.t -> Cpu.run -> fp
 
 val reference : Workload.t -> fp
 (** Fingerprint of the pure-scalar run of the {e Liquid} binary
-    ([Runner.Liquid_scalar]), memoized process-wide. *)
+    ([Runner.Liquid_scalar]), memoized per workload under a lock: the
+    run is the shared {!Liquid_harness.Runner.run_cached} result, whose
+    memory must not be read from two domains at once. Safe to call from
+    multiple domains. *)
 
 type mismatch = { m_want : fp; m_got : fp }
 

@@ -7,11 +7,9 @@
     scan is O(occupancy) but runs only on at-capacity inserts, so the
     hot path (a {!find} hit) stays one hashtable probe plus one store.
 
-    Used to cap the process-wide memo tables that used to grow without
-    bound: {!Runner.run_cached}'s result memo and the sweep service's
-    result-dedupe table ([lib/service]). Not synchronized — callers
-    that share a table across domains must hold their own lock (as
-    {!Runner} does). *)
+    Caps {!Runner.run_cached}'s process-wide result memo. Not
+    synchronized — callers that share a table across domains must hold
+    their own lock (as {!Runner} does). *)
 
 type ('k, 'v) t
 
@@ -43,8 +41,7 @@ type counters = {
 
 val counters : ('k, 'v) t -> counters
 (** Lifetime hit/miss/eviction tallies plus the current occupancy —
-    the observability surface the service metrics and
-    {!Runner.cache_counters} report. *)
+    what {!Runner.cache_counters} reports. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop every entry. Counters are preserved (they are lifetime

@@ -43,8 +43,7 @@ let liquid_of_tag tag =
        (fun b -> [ (Backend.kind_of b, false); (Backend.kind_of b, true) ])
        Backend.all)
 
-(* One parser for the CLI's and the sweep service's variant syntax, so
-   the two front ends can never drift apart. *)
+(* The inverse of [variant_to_string], with the [liquid-] aliases. *)
 let variant_of_string s =
   let width ctor w =
     match int_of_string_opt w with
@@ -97,14 +96,12 @@ let config_of ?(translation_cpi = 1) = function
         }
   | Native lanes -> Cpu.native_config ~lanes
 
-let run ?translation_cpi ?fuel ?(blocks = true) ?(superblocks = true)
+let run ?translation_cpi ?(blocks = true) ?(superblocks = true)
     (w : Workload.t) variant =
   let program = program_of w variant in
-  let config = config_of ?translation_cpi variant in
   let config =
-    match fuel with None -> config | Some fuel -> { config with Cpu.fuel }
+    { (config_of ?translation_cpi variant) with Cpu.blocks; Cpu.superblocks }
   in
-  let config = { config with Cpu.blocks; Cpu.superblocks } in
   { variant; program; run = Cpu.run ~config (Image.of_program program) }
 
 (* --- memoized runs --- *)
@@ -112,33 +109,22 @@ let run ?translation_cpi ?fuel ?(blocks = true) ?(superblocks = true)
 (* Simulations are pure functions of the workload, variant and machine
    knobs, and the experiment suite re-runs the same (workload, variant)
    pairs dozens of times (every table needs the baseline cycles of every
-   workload). One process-wide table keyed on the full input tuple turns
+   workload). One process-wide table keyed on the input tuple turns
    those repeats into lookups. The [translation_cpi] knob only reaches
    the config of non-oracle [Liquid] variants, so it is normalized out
    of the key everywhere else.
 
-   The table is a bounded exact-LRU [Lru] (it used to be an unbounded
-   hashtable — fine for one report run, a leak for the long-lived sweep
-   service): the capacity comfortably covers one full experiment
-   report's distinct keys, so the reports still see pure lookups, while
-   a service that streams millions of distinct jobs through the process
-   stays at a flat ceiling. *)
+   The table is a bounded exact-LRU [Lru] whose capacity comfortably
+   covers one full experiment report's distinct keys, so the reports
+   see pure lookups while memory stays at a flat ceiling. *)
 
-type cache_key = {
-  ck_workload : string;
-  ck_variant : variant;
-  ck_cpi : int;
-  ck_fuel : int;
-  ck_blocks : bool;
-  ck_super : bool;
-}
+type cache_key = { ck_workload : string; ck_variant : variant; ck_cpi : int }
 
 let cache_capacity = 2048
 let cache : (cache_key, result) Lru.t = Lru.create ~capacity:cache_capacity
 let cache_mutex = Mutex.create ()
 
-let cache_key (w : Workload.t) variant ~translation_cpi ~fuel ~blocks
-    ~superblocks =
+let cache_key (w : Workload.t) variant ~translation_cpi =
   {
     ck_workload = w.Workload.name;
     ck_variant = variant;
@@ -146,18 +132,14 @@ let cache_key (w : Workload.t) variant ~translation_cpi ~fuel ~blocks
       (match variant with
       | Liquid { oracle = false; _ } -> Option.value translation_cpi ~default:1
       | Baseline | Liquid_scalar | Liquid { oracle = true; _ } | Native _ -> 1);
-    ck_fuel = Option.value fuel ~default:Cpu.scalar_config.Cpu.fuel;
-    ck_blocks = blocks;
-    ck_super = superblocks;
   }
 
-let run_cached ?translation_cpi ?fuel ?(blocks = true) ?(superblocks = true)
-    (w : Workload.t) variant =
-  let key = cache_key w variant ~translation_cpi ~fuel ~blocks ~superblocks in
+let run_cached ?translation_cpi (w : Workload.t) variant =
+  let key = cache_key w variant ~translation_cpi in
   match Mutex.protect cache_mutex (fun () -> Lru.find cache key) with
   | Some r -> r
   | None ->
-      let r = run ?translation_cpi ?fuel ~blocks ~superblocks w variant in
+      let r = run ?translation_cpi w variant in
       Mutex.protect cache_mutex (fun () ->
           (* A racing domain may have finished the same key first; its
              entry wins so every caller shares one result. The re-probe

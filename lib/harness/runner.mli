@@ -26,12 +26,11 @@ type result = { variant : variant; program : Program.t; run : Cpu.run }
 val variant_name : variant -> string
 
 val variant_of_string : string -> (variant, string) Stdlib.result
-(** Parse the CLI/service variant syntax — [baseline], [liquid:scalar],
+(** Parse the CLI variant syntax — [baseline], [liquid:scalar],
     [liquid:W], [vla:W], [rvv:W], [oracle:W], [vla-oracle:W],
     [rvv-oracle:W], [native:W] (with the [liquid-] prefixed aliases,
-    e.g. [liquid-vla:W]) — the inverse of the surface syntax, shared by
-    the command line and the sweep-service protocol so the two cannot
-    drift. The error carries a human-readable message. *)
+    e.g. [liquid-vla:W]) — the inverse of {!variant_to_string}. The
+    error carries a human-readable message. *)
 
 val variant_to_string : variant -> string
 (** The canonical wire spelling — the inverse of {!variant_of_string}
@@ -52,7 +51,6 @@ val config_of : ?translation_cpi:int -> variant -> Cpu.config
 
 val run :
   ?translation_cpi:int ->
-  ?fuel:int ->
   ?blocks:bool ->
   ?superblocks:bool ->
   Workload.t ->
@@ -64,26 +62,21 @@ val run :
     bit-identical in every combination; the knobs exist for the engine's
     own differential tests and speedup benchmarks. *)
 
-val run_cached :
-  ?translation_cpi:int ->
-  ?fuel:int ->
-  ?blocks:bool ->
-  ?superblocks:bool ->
-  Workload.t ->
-  variant ->
-  result
-(** Like {!run}, but memoized process-wide on
-    [(workload name, variant, translation_cpi, fuel, blocks,
-    superblocks)] — simulations are
-    pure, and the experiment suite re-requests the same runs dozens of
-    times (every table wants every workload's baseline). Safe to call
-    from multiple domains; the first completed run for a key is the one
-    every caller sees. Treat the shared {!result} as read-only.
+val run_cached : ?translation_cpi:int -> Workload.t -> variant -> result
+(** Like {!run} with the block engine and its superblock tier on,
+    memoized process-wide on [(workload name, variant,
+    translation_cpi)] — simulations are pure, and the experiment suite
+    re-requests the same runs dozens of times (every table wants every
+    workload's baseline). Safe to call from multiple domains; the first
+    completed run for a key is the one every caller sees. The memo table
+    is a bounded exact-LRU ({!Lru}) of {!cache_capacity} entries.
 
-    The memo table is a bounded exact-LRU ({!Lru}) of
-    {!cache_capacity} entries, so a long-lived process (the sweep
-    service) streaming distinct jobs through it holds a flat ceiling
-    instead of leaking one full simulation state per key forever. *)
+    Treat the shared {!result} as read-only, and never read its
+    [run.memory] from two domains at once: {!Liquid_machine.Memory}
+    reads update the memory's one-entry page cache, so concurrent
+    readers tear it and read the wrong page. Derive what a parallel
+    caller needs (a fingerprint, a hash) once, under a lock, and share
+    that instead. *)
 
 val cache_capacity : int
 (** Bound of the {!run_cached} memo table — sized to cover one full
@@ -91,8 +84,7 @@ val cache_capacity : int
 
 val cache_counters : unit -> Lru.counters
 (** Lifetime hit/miss/eviction tallies and current occupancy of the
-    {!run_cached} memo — surfaced in the sweep service's metrics
-    document. *)
+    {!run_cached} memo. *)
 
 val clear_cache : unit -> unit
 (** Drop all memoized runs (for tests and long-lived processes). *)

@@ -1,5 +1,5 @@
 (** A small self-contained JSON tree: enough to emit every artifact the
-    observability layer produces (snapshots, BENCH.json, JSONL trace
+    observability layer produces (snapshots, fuzz reports, JSONL trace
     lines) and to parse them back for schema validation — no external
     dependency. *)
 

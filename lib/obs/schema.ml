@@ -156,49 +156,6 @@ let snapshot (j : Json.t) =
    end);
   List.rev !errs
 
-let check_lru errs path c =
-  List.iter
-    (fun k -> field errs path c k T_int (fun _ -> ()))
-    [ "hits"; "misses"; "evictions"; "occupancy"; "capacity" ]
-
-let service_metrics (j : Json.t) =
-  let errs = ref [] in
-  (if not (has_ty T_obj j) then errs := [ "document: expected object" ]
-   else begin
-     require_schema errs "liquid-service-metrics/1" j;
-     field errs "document" j "jobs" T_obj (fun jobs ->
-         List.iter
-           (fun k -> field errs "jobs" jobs k T_int (fun _ -> ()))
-           [ "submitted"; "ok"; "degraded"; "shed"; "failed"; "queued" ]);
-     field errs "document" j "supervision" T_obj (fun s ->
-         List.iter
-           (fun k -> field errs "supervision" s k T_int (fun _ -> ()))
-           [
-             "retries";
-             "transient_failures";
-             "permanent_failures";
-             "deadline_expiries";
-           ]);
-     field errs "document" j "breaker" T_obj (fun b ->
-         field errs "breaker" b "threshold" T_int (fun _ -> ());
-         field errs "breaker" b "trips" T_int (fun _ -> ());
-         field errs "breaker" b "probes" T_int (fun _ -> ());
-         field errs "breaker" b "reopens" T_int (fun _ -> ());
-         field errs "breaker" b "open" T_list (fun _ -> ()));
-     field errs "document" j "permutation" T_obj (fun p ->
-         List.iter
-           (fun k -> field errs "permutation" p k T_int (fun _ -> ()))
-           [ "seen"; "recovered"; "aborted"; "tbl_index_builds" ]);
-     field errs "document" j "dedup" T_obj (fun c -> check_lru errs "dedup" c);
-     field errs "document" j "runner_cache" T_obj (fun c ->
-         check_lru errs "runner_cache" c);
-     field errs "document" j "protocol_errors" T_int (fun _ -> ());
-     field errs "document" j "invariants" T_obj (fun inv ->
-         field errs "invariants" inv "checked" T_int (fun _ -> ());
-         field errs "invariants" inv "violations" T_list (fun _ -> ()))
-   end);
-  List.rev !errs
-
 let fuzz_report (j : Json.t) =
   let errs = ref [] in
   (if not (has_ty T_obj j) then errs := [ "document: expected object" ]
@@ -252,38 +209,6 @@ let fuzz_report (j : Json.t) =
                        | _ -> ()))
                  else errs := Printf.sprintf "%s: expected object" path :: !errs)
                cs
-         | _ -> ())
-   end);
-  List.rev !errs
-
-let bench (j : Json.t) =
-  let errs = ref [] in
-  (if not (has_ty T_obj j) then errs := [ "document: expected object" ]
-   else begin
-     require_schema errs "liquid-bench/1" j;
-     let f name ty = field errs "document" j name ty (fun _ -> ()) in
-     f "report_wall_s" T_num;
-     f "sim_cycles" T_int;
-     f "sim_wall_s" T_num;
-     f "sim_cycles_per_s" T_num;
-     f "block_speedup" T_num;
-     f "super_speedup" T_num;
-     f "fault_campaign_wall_s" T_num;
-     f "fault_campaign_cases" T_int;
-     f "fault_campaign_survived" T_bool;
-     f "service_throughput_jobs_s" T_num;
-     f "fuzz_cases_per_s" T_num;
-     field errs "document" j "tests" T_list (fun v ->
-         match v with
-         | Json.List ts ->
-             List.iteri
-               (fun i t ->
-                 let path = Printf.sprintf "tests[%d]" i in
-                 if has_ty T_obj t then (
-                   field errs path t "name" T_str (fun _ -> ());
-                   field errs path t "ns_per_run" T_num (fun _ -> ()))
-                 else errs := Printf.sprintf "%s: expected object" path :: !errs)
-               ts
          | _ -> ())
    end);
   List.rev !errs

@@ -12,16 +12,6 @@ val snapshot : Json.t -> string list
 (** Validates a {!Snapshot.to_json} document
     (schema ["liquid-obs-snapshot/1"]). *)
 
-val bench : Json.t -> string list
-(** Validates a {!Bench_report.to_json} document — the BENCH.json file
-    (schema ["liquid-bench/1"]). *)
-
-val service_metrics : Json.t -> string list
-(** Validates the sweep service's metrics document
-    (schema ["liquid-service-metrics/1"]): job accounting, supervision
-    counters, breaker state, the permutation-recovery ledger and the two
-    LRU tallies. *)
-
 val fuzz_report : Json.t -> string list
 (** Validates a fuzzing-campaign report
     (schema ["liquid-fuzz-report/1"]): case accounting, the abort-class

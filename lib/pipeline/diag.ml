@@ -13,20 +13,6 @@ exception Error of t
 
 let make ~fault ~pc ~cycle ~retired = { fault; pc; cycle; retired }
 
-(* The single transient-vs-permanent table. Everything asynchronous or
-   externally imposed — a context switch aborting a translation
-   session, a watchdog budget running dry — is transient: the same
-   computation can succeed on a retry with a fresh slice. Everything
-   else is deterministic corruption of the program or the machine and
-   will recur on replay. The supervision layer (lib/service) keys its
-   whole retry policy off this one function. *)
-let classify d =
-  match d.fault with
-  | Fuel_exhausted -> `Transient
-  | Wild_pc | Ucode_index _ | Ucode_control_flow | Illegal _
-  | Region_nonterminating | Region_vector_insn ->
-      `Permanent
-
 let classify_abort (a : Liquid_translate.Abort.t) =
   let open Liquid_translate.Abort in
   match a with

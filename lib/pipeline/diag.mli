@@ -32,17 +32,9 @@ exception Error of t
 
 val make : fault:fault -> pc:int -> cycle:int -> retired:int -> t
 
-val classify : t -> [ `Transient | `Permanent ]
-(** The single transient-vs-permanent authority for everything that can
-    stop or derail a run — the table the supervision layer keys retry
-    policy off. [`Transient] marks failures caused by asynchronous or
-    externally imposed events (today only {!Fuel_exhausted}, the
-    watchdog budget: the computation itself may succeed given a fresh
-    slice); every other fault is deterministic program/machine
-    corruption that recurs on replay, hence [`Permanent]. *)
-
 val classify_abort : Liquid_translate.Abort.t -> [ `Transient | `Permanent ]
-(** The same authority over translation-abort reasons. [`Permanent]
+(** The single transient-vs-permanent authority over translation-abort
+    reasons. [`Permanent]
     aborts will recur if the region is retranslated, so the pipeline
     marks the region failed and never retries; [`Transient] aborts
     ({!Liquid_translate.Abort.External_abort} — a context switch or

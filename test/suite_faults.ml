@@ -232,6 +232,20 @@ let test_campaign_survives w width () =
   check_bool "faults actually fired" true
     (report.Campaign.r_injected >= List.length report.Campaign.r_cases - 2)
 
+(* Two domains checking cases of the same workload must not share a
+   mutable reference: the scalar run behind [Oracle.reference] is one
+   cached result, and hashing its memory from both domains at once used
+   to tear the memory's page cache and report spurious divergences in
+   about half of these runs on a 2-core machine. *)
+let test_campaign_two_domains () =
+  let report = Campaign.run ~domains:2 ~widths:[ 2 ] ~seed:2007 () in
+  check_int "campaign cases"
+    (15 * List.length (Workload.all ()))
+    (List.length report.Campaign.r_cases);
+  check_int "no divergent state" 0 report.Campaign.r_divergent;
+  check_int "no crashes" 0 report.Campaign.r_crashed;
+  check_bool "survived" true (Campaign.survived report)
+
 let tests =
   [
     Alcotest.test_case "abort classes distinct" `Quick
@@ -262,3 +276,7 @@ let tests =
         (Option.get (Workload.find "FFT"), 16);
         (Option.get (Workload.find "LU"), 2);
       ]
+  @ [
+      Alcotest.test_case "campaign on two domains" `Slow
+        test_campaign_two_domains;
+    ]

@@ -335,10 +335,49 @@ let test_run_many_simulations_agree () =
   let par = Runner.run_many ~domains:4 cycles ws in
   check_bool "parallel simulation equals sequential" true (par = seq)
 
+(* --- the bounded LRU and the runner memo built on it --- *)
+
+let test_lru_discipline () =
+  let l : (int, string) Lru.t = Lru.create ~capacity:2 in
+  check_bool "miss on empty" true (Lru.find l 1 = None);
+  Lru.add l 1 "a";
+  Lru.add l 2 "b";
+  (* touch 1 so 2 is the LRU victim *)
+  check_bool "hit" true (Lru.find l 1 = Some "a");
+  Lru.add l 3 "c";
+  check_bool "LRU evicted" true (Lru.find l 2 = None);
+  check_bool "recent kept" true (Lru.find l 1 = Some "a");
+  let k = Lru.counters l in
+  check "evictions" 1 k.Lru.l_evictions;
+  check "occupancy" 2 k.Lru.l_occupancy;
+  check "capacity" 2 k.Lru.l_capacity;
+  (* finds = hits + misses *)
+  check "find accounting" (k.Lru.l_hits + k.Lru.l_misses) (2 + 2);
+  Lru.clear l;
+  let k' = Lru.counters l in
+  check "clear empties" 0 k'.Lru.l_occupancy;
+  check "clear keeps lifetime tallies" k.Lru.l_hits k'.Lru.l_hits
+
+let test_runner_cache_counters () =
+  Runner.clear_cache ();
+  let w = match Workload.find "FIR" with Some w -> w | None -> assert false in
+  let r1 = Runner.run_cached w (Helpers.liquid 8) in
+  let r2 = Runner.run_cached w (Helpers.liquid 8) in
+  check_bool "memo returns the shared result" true (r1 == r2);
+  let k = Runner.cache_counters () in
+  check "one resident entry" 1 k.Lru.l_occupancy;
+  check_bool "hit counted" true (k.Lru.l_hits >= 1);
+  check "capacity surfaced" Runner.cache_capacity k.Lru.l_capacity;
+  Runner.clear_cache ()
+
 let tests =
   tests
   @ [
       Alcotest.test_case "csv export" `Quick test_csv_export;
+      Alcotest.test_case "lru: exact discipline + counters" `Quick
+        test_lru_discipline;
+      Alcotest.test_case "runner: memo counters" `Quick
+        test_runner_cache_counters;
       Alcotest.test_case "run_cached matches run" `Slow test_run_cached_matches_run;
       Alcotest.test_case "run_many deterministic" `Quick test_run_many_deterministic;
       Alcotest.test_case "run_many_result isolates failures" `Quick

@@ -1,8 +1,7 @@
 (* The observability layer.
 
    Unit tests for the lib/obs building blocks (JSON tree + parser,
-   power-of-two histograms, packed ring buffer, the shared BENCH.json
-   emitter), then the heavyweight guarantee: the conservation
+   power-of-two histograms, packed ring buffer), then the heavyweight guarantee: the conservation
    invariants of [Snapshot.violations] hold for every workload at every
    accelerator width under baseline, Liquid, oracle-translation and a
    seeded fault campaign. Any counter that acquires a second writer —
@@ -23,7 +22,6 @@ module Ring = Liquid_obs.Ring
 module Collector = Liquid_obs.Collector
 module Snapshot = Liquid_obs.Snapshot
 module Schema = Liquid_obs.Schema
-module Bench_report = Liquid_obs.Bench_report
 
 let find name = match Workload.find name with Some w -> w | None -> assert false
 
@@ -302,52 +300,7 @@ let test_schema_rejects () =
       match Schema.snapshot (strip name json) with
       | [] -> Alcotest.failf "schema accepted a document without %S" name
       | _ -> ())
-    [ "schema"; "stats"; "histograms"; "invariants"; "regions" ];
-  match Schema.bench json with
-  | [] -> Alcotest.fail "bench schema accepted a snapshot document"
-  | _ -> ()
-
-(* --- the shared BENCH.json emitter --- *)
-
-let bench_fixture =
-  {
-    Bench_report.b_report_wall_s = 1.25;
-    b_sim_cycles = 123456;
-    b_sim_wall_s = 0.5;
-    b_sim_cycles_per_s = 246912.0;
-    b_block_speedup = 1.8;
-    b_super_speedup = 1.3;
-    b_fault_wall_s = 2.0;
-    b_fault_cases = 75;
-    b_fault_survived = true;
-    b_service_jobs_s = 42.0;
-    b_fuzz_cases_per_s = 17.5;
-    b_tests =
-      [
-        { Bench_report.t_name = "core_simulate_scalar"; t_ns_per_run = 51000.0 };
-        { Bench_report.t_name = "table2_synthesis"; t_ns_per_run = 900.0 };
-      ];
-  }
-
-let test_bench_report () =
-  check_case "fixture validates" (Schema.bench (Bench_report.to_json bench_fixture));
-  let tmp = Filename.temp_file "liquid_bench" ".json" in
-  Bench_report.write ~path:tmp bench_fixture;
-  check_case "written file validates" (Bench_report.validate_file tmp);
-  (match Json.of_string (In_channel.with_open_text tmp In_channel.input_all) with
-  | Error e -> Alcotest.failf "written file does not parse: %s" e
-  | Ok j ->
-      Alcotest.(check bool)
-        "file round-trips the record" true
-        (Json.equal j (Bench_report.to_json bench_fixture)));
-  Out_channel.with_open_text tmp (fun oc -> output_string oc "{}\n");
-  (match Bench_report.validate_file tmp with
-  | [] -> Alcotest.fail "validator accepted an empty object"
-  | _ -> ());
-  Sys.remove tmp;
-  match Bench_report.validate_file tmp with
-  | [] -> Alcotest.fail "validator accepted a missing file"
-  | _ -> ()
+    [ "schema"; "stats"; "histograms"; "invariants"; "regions" ]
 
 let tests =
   [
@@ -359,7 +312,6 @@ let tests =
     Alcotest.test_case "collector + snapshot on FIR" `Quick test_collector_fir;
     Alcotest.test_case "schema rejects malformed documents" `Quick
       test_schema_rejects;
-    Alcotest.test_case "bench report emitter" `Quick test_bench_report;
     Alcotest.test_case "invariant matrix (all workloads x variants x widths)"
       `Slow test_invariant_matrix;
     Alcotest.test_case "invariants under fault campaign" `Slow

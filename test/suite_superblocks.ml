@@ -82,8 +82,8 @@ let check_variant w variant =
   | exception Codegen.Unsupported_width _ -> ()
   | program ->
       let image = Image.of_program program in
-      let on = Runner.run_cached ~superblocks:true w variant in
-      let off = Runner.run_cached ~superblocks:false w variant in
+      let on = Runner.run_cached w variant in
+      let off = Runner.run ~superblocks:false w variant in
       let what =
         Printf.sprintf "%s/%s" w.Workload.name (Runner.variant_name variant)
       in

@@ -26,6 +26,5 @@ let () =
       ("obs", Suite_obs.tests);
       ("faults", Suite_faults.tests);
       ("fuzz", Suite_fuzz.tests);
-      ("service", Suite_service.tests);
       ("smoke", Suite_smoke.tests);
     ]
