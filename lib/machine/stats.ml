@@ -45,52 +45,29 @@ let create () =
     translation_busy_cycles = 0;
   }
 
-let reset t =
-  t.cycles <- 0;
-  t.fetches <- 0;
-  t.scalar_insns <- 0;
-  t.vector_insns <- 0;
-  t.uops_retired <- 0;
-  t.loads <- 0;
-  t.stores <- 0;
-  t.branches <- 0;
-  t.branch_mispredicts <- 0;
-  t.icache_hits <- 0;
-  t.icache_misses <- 0;
-  t.dcache_hits <- 0;
-  t.dcache_misses <- 0;
-  t.region_calls <- 0;
-  t.ucode_hits <- 0;
-  t.ucode_installs <- 0;
-  t.ucode_evictions <- 0;
-  t.translations_started <- 0;
-  t.translations_aborted <- 0;
-  t.translation_busy_cycles <- 0
-
-let add acc x =
-  acc.cycles <- acc.cycles + x.cycles;
-  acc.fetches <- acc.fetches + x.fetches;
-  acc.scalar_insns <- acc.scalar_insns + x.scalar_insns;
-  acc.vector_insns <- acc.vector_insns + x.vector_insns;
-  acc.uops_retired <- acc.uops_retired + x.uops_retired;
-  acc.loads <- acc.loads + x.loads;
-  acc.stores <- acc.stores + x.stores;
-  acc.branches <- acc.branches + x.branches;
-  acc.branch_mispredicts <- acc.branch_mispredicts + x.branch_mispredicts;
-  acc.icache_hits <- acc.icache_hits + x.icache_hits;
-  acc.icache_misses <- acc.icache_misses + x.icache_misses;
-  acc.dcache_hits <- acc.dcache_hits + x.dcache_hits;
-  acc.dcache_misses <- acc.dcache_misses + x.dcache_misses;
-  acc.region_calls <- acc.region_calls + x.region_calls;
-  acc.ucode_hits <- acc.ucode_hits + x.ucode_hits;
-  acc.ucode_installs <- acc.ucode_installs + x.ucode_installs;
-  acc.ucode_evictions <- acc.ucode_evictions + x.ucode_evictions;
-  acc.translations_started <- acc.translations_started + x.translations_started;
-  acc.translations_aborted <- acc.translations_aborted + x.translations_aborted;
-  acc.translation_busy_cycles <-
-    acc.translation_busy_cycles + x.translation_busy_cycles
-
-let copy t = { t with cycles = t.cycles }
+let fields =
+  [
+    ("cycles", fun t -> t.cycles);
+    ("fetches", fun t -> t.fetches);
+    ("scalar_insns", fun t -> t.scalar_insns);
+    ("vector_insns", fun t -> t.vector_insns);
+    ("uops_retired", fun t -> t.uops_retired);
+    ("loads", fun t -> t.loads);
+    ("stores", fun t -> t.stores);
+    ("branches", fun t -> t.branches);
+    ("branch_mispredicts", fun t -> t.branch_mispredicts);
+    ("icache_hits", fun t -> t.icache_hits);
+    ("icache_misses", fun t -> t.icache_misses);
+    ("dcache_hits", fun t -> t.dcache_hits);
+    ("dcache_misses", fun t -> t.dcache_misses);
+    ("region_calls", fun t -> t.region_calls);
+    ("ucode_hits", fun t -> t.ucode_hits);
+    ("ucode_installs", fun t -> t.ucode_installs);
+    ("ucode_evictions", fun t -> t.ucode_evictions);
+    ("translations_started", fun t -> t.translations_started);
+    ("translations_aborted", fun t -> t.translations_aborted);
+    ("translation_busy_cycles", fun t -> t.translation_busy_cycles);
+  ]
 
 let total_insns t = t.scalar_insns + t.vector_insns
 

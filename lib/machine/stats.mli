@@ -43,13 +43,11 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
-val add : t -> t -> unit
-(** [add acc x] accumulates [x] into [acc] field-wise. *)
-
-val copy : t -> t
-(** A detached clone — snapshotting without aliasing the live record. *)
+val fields : (string * (t -> int)) list
+(** Every counter with its report name, in record order. This list is
+    the [stats] section of a {!Liquid_obs.Snapshot}: its JSON object,
+    its [stats.*] CSV rows and the keys its schema requires. *)
 
 val total_insns : t -> int
 val pp : Format.formatter -> t -> unit

@@ -9,7 +9,7 @@
     - an optional JSONL file sink that streams region-level events
       (calls, translations, aborts) one JSON object per line.
 
-    Attach with {!wrap} (or {!attach}), run the machine, then hand the
+    Attach with {!wrap}, run the machine, then hand the
     collector to {!Snapshot.of_run} so the histograms land in the
     snapshot. *)
 
@@ -41,9 +41,6 @@ val on_trace : t -> Cpu.trace_event -> unit
 val wrap : t -> Cpu.config -> Cpu.config
 (** Install {!on_trace} into a config, chaining after any hook already
     present (the existing consumer still sees every event). *)
-
-val attach : t -> Cpu.config -> Cpu.config
-(** Alias of {!wrap}. *)
 
 val translation_latency : t -> Hist.t
 val ring : t -> Ring.t

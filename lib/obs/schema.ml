@@ -60,30 +60,6 @@ let check_hist errs path h =
             bs
       | _ -> ())
 
-let stats_keys =
-  [
-    "cycles";
-    "fetches";
-    "scalar_insns";
-    "vector_insns";
-    "uops_retired";
-    "loads";
-    "stores";
-    "branches";
-    "branch_mispredicts";
-    "icache_hits";
-    "icache_misses";
-    "dcache_hits";
-    "dcache_misses";
-    "region_calls";
-    "ucode_hits";
-    "ucode_installs";
-    "ucode_evictions";
-    "translations_started";
-    "translations_aborted";
-    "translation_busy_cycles";
-  ]
-
 let snapshot (j : Json.t) =
   let errs = ref [] in
   (if not (has_ty T_obj j) then errs := [ "document: expected object" ]
@@ -91,29 +67,26 @@ let snapshot (j : Json.t) =
      require_schema errs "liquid-obs-snapshot/1" j;
      field errs "document" j "label" T_str (fun _ -> ());
      field errs "document" j "variant" T_str (fun _ -> ());
-     field errs "document" j "stats" T_obj (fun stats ->
-         List.iter
-           (fun k -> field errs "stats" stats k T_int (fun _ -> ()))
-           stats_keys);
-     (* icache/dcache may be null (unit absent) or {hits,misses} *)
      List.iter
-       (fun name ->
-         match Json.member name j with
-         | None -> errs := Printf.sprintf "document: missing field %S" name :: !errs
-         | Some Json.Null -> ()
-         | Some (Json.Obj _ as c) ->
-             field errs name c "hits" T_int (fun _ -> ());
-             field errs name c "misses" T_int (fun _ -> ())
+       (fun section ->
+         let counters obj =
+           List.iter
+             (fun (c : Snapshot.counter) ->
+               if String.equal c.section section then
+                 field errs section obj c.key T_int (fun _ -> ()))
+             Snapshot.registry
+         in
+         match Json.member section j with
+         | Some Json.Null when Snapshot.nullable section -> ()
+         | Some (Json.Obj _ as obj) -> counters obj
+         | None ->
+             errs := Printf.sprintf "document: missing field %S" section :: !errs
          | Some _ ->
-             errs := Printf.sprintf "%s: expected object or null" name :: !errs)
-       [ "icache"; "dcache" ];
-     field errs "document" j "branch_pred" T_obj (fun b ->
-         field errs "branch_pred" b "lookups" T_int (fun _ -> ());
-         field errs "branch_pred" b "mispredicts" T_int (fun _ -> ()));
-     field errs "document" j "ucode_cache" T_obj (fun u ->
-         List.iter
-           (fun k -> field errs "ucode_cache" u k T_int (fun _ -> ()))
-           [ "installs"; "replacements"; "evictions"; "occupancy"; "max_occupancy" ]);
+             errs :=
+               Printf.sprintf "document.%s: expected %s" section
+                 (if Snapshot.nullable section then "object or null" else "object")
+               :: !errs)
+       Snapshot.sections;
      field errs "document" j "regions" T_list (fun v ->
          match v with
          | Json.List rs ->
@@ -132,26 +105,20 @@ let snapshot (j : Json.t) =
                  else errs := Printf.sprintf "%s: expected object" path :: !errs)
                rs
          | _ -> ());
-     field errs "document" j "predication" T_obj (fun p ->
-         List.iter
-           (fun k -> field errs "predication" p k T_int (fun _ -> ()))
-           [ "fast_iters"; "masked_iters"; "dispatched" ]);
-     field errs "document" j "permutation" T_obj (fun p ->
-         List.iter
-           (fun k -> field errs "permutation" p k T_int (fun _ -> ()))
-           [ "seen"; "recovered"; "aborted"; "tbl_index_builds" ]);
      field errs "document" j "histograms" T_obj (fun hs ->
          List.iter
-           (fun name ->
+           (fun (name, _) ->
              field errs "histograms" hs name T_obj (fun h ->
                  check_hist errs ("histograms." ^ name) h))
-           [
-             "translation_latency_cycles";
-             "inter_call_gap_cycles";
-             "region_uops";
-           ]);
+           Snapshot.histograms);
      field errs "document" j "invariants" T_obj (fun inv ->
-         field errs "invariants" inv "checked" T_int (fun _ -> ());
+         field errs "invariants" inv "checked" T_int (function
+           | Json.Int n when n <> Snapshot.invariant_count ->
+               errs :=
+                 Printf.sprintf "invariants.checked: %d, but %d are registered" n
+                   Snapshot.invariant_count
+                 :: !errs
+           | _ -> ());
          field errs "invariants" inv "violations" T_list (fun _ -> ()))
    end);
   List.rev !errs

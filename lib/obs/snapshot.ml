@@ -1,6 +1,96 @@
 open Liquid_machine
 open Liquid_pipeline
 
+type counter = { section : string; key : string; doc : string; get : Cpu.run -> int }
+
+let name c = c.section ^ "." ^ c.key
+
+(* The units a machine may lack, with their accessors. *)
+let cache_units =
+  [
+    ("icache", fun (r : Cpu.run) -> r.Cpu.icache_counters);
+    ("dcache", fun (r : Cpu.run) -> r.Cpu.dcache_counters);
+  ]
+
+let registry =
+  let section name fields =
+    List.map (fun (key, doc, get) -> { section = name; key; doc; get }) fields
+  in
+  let cache (name, unit_of) =
+    let read f r = Option.fold ~none:0 ~some:f (unit_of r) in
+    section name
+      [
+        ("hits", "hits, the cache's own tally", read (fun u -> u.Cache.c_hits));
+        ("misses", "misses, the cache's own tally", read (fun u -> u.Cache.c_misses));
+      ]
+  in
+  let bpred f r = f r.Cpu.bpred_counters and ucache f r = f r.Cpu.ucache_counters in
+  section "stats"
+    (List.map (fun (key, read) -> (key, "see Stats.t", fun r -> read r.Cpu.stats)) Stats.fields)
+  @ List.concat_map cache cache_units
+  @ section "branch_pred"
+      [
+        ("lookups", "predictions, the predictor's own tally",
+          bpred (fun p -> p.Branch_pred.p_lookups));
+        ("mispredicts", "wrong predictions, the predictor's own tally",
+          bpred (fun p -> p.Branch_pred.p_mispredicts));
+      ]
+  @ section "ucode_cache"
+      [
+        ("installs", "translations installed, the cache's own tally",
+          ucache (fun u -> u.Ucode_cache.u_installs));
+        ("replacements", "installs over an older translation of the same region",
+          ucache (fun u -> u.Ucode_cache.u_replacements));
+        ("evictions", "entries evicted (capacity and forced)",
+          ucache (fun u -> u.Ucode_cache.u_evictions));
+        ("occupancy", "entries resident at halt", ucache (fun u -> u.Ucode_cache.u_occupancy));
+        ("max_occupancy", "high-water mark of resident entries",
+          ucache (fun u -> u.Ucode_cache.u_max_occupancy));
+      ]
+  @ section "superblocks"
+      [
+        ("compiled", "trace superblocks formed", fun r -> r.Cpu.superblocks_compiled);
+        ("iterations", "whole loop iterations run through one", fun r -> r.Cpu.superblock_iters);
+        ("bailouts", "exits back to the block path (guard fails + fuel)", fun r ->
+          r.Cpu.superblock_bailouts);
+      ]
+  @ section "predication"
+      [
+        ("fast_iters", "governed vector ops on the all-lanes fast path", fun r ->
+          r.Cpu.pred_fast_iters);
+        ("masked_iters", "governed vector ops through the masked path", fun r ->
+          r.Cpu.pred_masked_iters);
+        ("dispatched", "governed vector uops dispatched", fun r -> r.Cpu.vla_pred_execs);
+      ]
+  @ section "permutation"
+      [
+        ("seen", "permutation slots resolved over all sessions", fun r -> r.Cpu.permutes_seen);
+        ("recovered", "lowered to a native Vperm or a table lookup", fun r ->
+          r.Cpu.permutes_recovered);
+        ("aborted", "killed their translation session", fun r -> r.Cpu.permutes_aborted);
+        ("tbl_index_builds", "index-table builds (Tblidx executions)", fun r ->
+          r.Cpu.tbl_index_builds);
+      ]
+
+let sections =
+  List.fold_left
+    (fun acc c -> if List.mem c.section acc then acc else acc @ [ c.section ])
+    [] registry
+
+(* Each section's counters with their registry index. *)
+let members =
+  let indexed = List.mapi (fun i c -> (i, c)) registry in
+  List.map (fun s -> (s, List.filter (fun (_, c) -> c.section = s) indexed)) sections
+
+let nullable section = List.mem_assoc section cache_units
+
+let names = List.map name registry
+
+let index n =
+  match List.find_index (String.equal n) names with
+  | Some i -> i
+  | None -> invalid_arg ("Snapshot: unregistered counter " ^ n)
+
 type region = {
   r_label : string;
   r_entry : int;
@@ -15,26 +105,19 @@ type region = {
 type t = {
   s_label : string;
   s_variant : string;
-  s_stats : Stats.t;
-  s_icache : Cache.counters option;
-  s_dcache : Cache.counters option;
-  s_bpred : Branch_pred.counters;
-  s_ucache : Ucode_cache.counters;
+  s_counters : int option array;
   s_regions : region list;
-  s_superblocks_compiled : int;
-  s_superblock_iters : int;
-  s_superblock_bailouts : int;
-  s_pred_fast : int;
-  s_pred_masked : int;
-  s_vla_preds : int;
-  s_permutes_seen : int;
-  s_permutes_recovered : int;
-  s_permutes_aborted : int;
-  s_tbl_index_builds : int;
   s_latency_hist : Hist.t;
   s_gap_hist : Hist.t;
   s_uops_hist : Hist.t;
 }
+
+let histograms =
+  [
+    ("translation_latency_cycles", fun t -> t.s_latency_hist);
+    ("inter_call_gap_cycles", fun t -> t.s_gap_hist);
+    ("region_uops", fun t -> t.s_uops_hist);
+  ]
 
 let region_of_report (r : Cpu.region_report) =
   let calls = List.length r.Cpu.calls in
@@ -75,179 +158,138 @@ let of_run ?(label = "run") ?(variant = "unknown") ?collector (run : Cpu.run) =
       | Cpu.R_installed { uops; _ } -> Hist.add uops_hist uops
       | _ -> ())
     run.Cpu.regions;
-  let latency =
-    match collector with
-    | Some c ->
-        let h = Hist.create () in
-        Hist.merge h (Collector.translation_latency c);
-        h
-    | None -> Hist.create ()
-  in
+  let latency = Hist.create () in
+  Option.iter (fun c -> Hist.merge latency (Collector.translation_latency c)) collector;
+  let values = Array.make (List.length registry) None in
+  List.iteri (fun i c -> values.(i) <- Some (c.get run)) registry;
+  List.iter
+    (fun (section, unit_of) ->
+      if unit_of run = None then
+        List.iter (fun (i, _) -> values.(i) <- None) (List.assoc section members))
+    cache_units;
   {
     s_label = label;
     s_variant = variant;
-    s_stats = Stats.copy run.Cpu.stats;
-    s_icache = run.Cpu.icache_counters;
-    s_dcache = run.Cpu.dcache_counters;
-    s_bpred = run.Cpu.bpred_counters;
-    s_ucache = run.Cpu.ucache_counters;
+    s_counters = values;
     s_regions = List.map region_of_report run.Cpu.regions;
-    s_superblocks_compiled = run.Cpu.superblocks_compiled;
-    s_superblock_iters = run.Cpu.superblock_iters;
-    s_superblock_bailouts = run.Cpu.superblock_bailouts;
-    s_pred_fast = run.Cpu.pred_fast_iters;
-    s_pred_masked = run.Cpu.pred_masked_iters;
-    s_vla_preds = run.Cpu.vla_pred_execs;
-    s_permutes_seen = run.Cpu.permutes_seen;
-    s_permutes_recovered = run.Cpu.permutes_recovered;
-    s_permutes_aborted = run.Cpu.permutes_aborted;
-    s_tbl_index_builds = run.Cpu.tbl_index_builds;
     s_latency_hist = latency;
     s_gap_hist = gap;
     s_uops_hist = uops_hist;
   }
 
-let invariant_count = 12
+(* --- conservation invariants: relations over registered names --- *)
 
-let violations t =
-  let s = t.s_stats in
-  let bad = ref [] in
-  let check name cond detail =
-    if not cond then bad := Printf.sprintf "%s: %s" name (detail ()) :: !bad
-  in
-  check "insn-conservation"
-    (s.Stats.scalar_insns + s.Stats.vector_insns
-    = s.Stats.fetches + s.Stats.uops_retired) (fun () ->
-      Printf.sprintf "scalar %d + vector %d <> fetches %d + uops %d"
-        s.Stats.scalar_insns s.Stats.vector_insns s.Stats.fetches
-        s.Stats.uops_retired);
-  (match t.s_icache with
-  | None ->
-      check "icache-mirror"
-        (s.Stats.icache_hits = 0 && s.Stats.icache_misses = 0) (fun () ->
-          "no instruction cache but stats report icache traffic")
-  | Some c ->
-      check "icache-mirror"
-        (s.Stats.icache_hits = c.Cache.c_hits
-        && s.Stats.icache_misses = c.Cache.c_misses) (fun () ->
-          Printf.sprintf "stats %d/%d <> cache %d/%d" s.Stats.icache_hits
-            s.Stats.icache_misses c.Cache.c_hits c.Cache.c_misses);
-      check "icache-fetches"
-        (c.Cache.c_hits + c.Cache.c_misses = s.Stats.fetches) (fun () ->
-          Printf.sprintf "hits %d + misses %d <> fetches %d" c.Cache.c_hits
-            c.Cache.c_misses s.Stats.fetches));
-  (match t.s_dcache with
-  | None ->
-      check "dcache-mirror"
-        (s.Stats.dcache_hits = 0 && s.Stats.dcache_misses = 0) (fun () ->
-          "no data cache but stats report dcache traffic")
-  | Some c ->
-      check "dcache-mirror"
-        (s.Stats.dcache_hits = c.Cache.c_hits
-        && s.Stats.dcache_misses = c.Cache.c_misses) (fun () ->
-          Printf.sprintf "stats %d/%d <> cache %d/%d" s.Stats.dcache_hits
-            s.Stats.dcache_misses c.Cache.c_hits c.Cache.c_misses));
-  check "branch-mirror"
-    (s.Stats.branches = t.s_bpred.Branch_pred.p_lookups
-    && s.Stats.branch_mispredicts = t.s_bpred.Branch_pred.p_mispredicts
-    && s.Stats.branch_mispredicts <= s.Stats.branches) (fun () ->
-      Printf.sprintf "stats %d/%d <> predictor %d/%d" s.Stats.branches
-        s.Stats.branch_mispredicts t.s_bpred.Branch_pred.p_lookups
-        t.s_bpred.Branch_pred.p_mispredicts);
-  let region_calls =
-    List.fold_left (fun acc r -> acc + r.r_calls) 0 t.s_regions
-  in
-  let served =
-    List.fold_left (fun acc r -> acc + r.r_ucode_served) 0 t.s_regions
-  in
-  check "region-calls"
-    (region_calls = s.Stats.region_calls
-    && List.for_all
-         (fun r -> r.r_scalar_calls >= 0 && r.r_ucode_served <= r.r_calls)
-         t.s_regions) (fun () ->
-      Printf.sprintf "region timelines %d calls <> stats %d" region_calls
-        s.Stats.region_calls);
-  check "ucode-hits"
-    (served = s.Stats.ucode_hits && s.Stats.ucode_hits <= s.Stats.region_calls)
-    (fun () ->
-      Printf.sprintf "region timelines %d served <> stats %d hits" served
-        s.Stats.ucode_hits);
-  let u = t.s_ucache in
-  check "ucache-mirror"
-    (s.Stats.ucode_installs = u.Ucode_cache.u_installs
-    && s.Stats.ucode_evictions = u.Ucode_cache.u_evictions) (fun () ->
-      Printf.sprintf "stats %d/%d <> ucache %d/%d" s.Stats.ucode_installs
-        s.Stats.ucode_evictions u.Ucode_cache.u_installs
-        u.Ucode_cache.u_evictions);
-  check "ucache-occupancy"
-    (u.Ucode_cache.u_installs
-     = u.Ucode_cache.u_replacements + u.Ucode_cache.u_evictions
-       + u.Ucode_cache.u_occupancy
-    && u.Ucode_cache.u_occupancy <= u.Ucode_cache.u_max_occupancy) (fun () ->
-      Printf.sprintf "installs %d <> replacements %d + evictions %d + occupancy %d (max %d)"
-        u.Ucode_cache.u_installs u.Ucode_cache.u_replacements
-        u.Ucode_cache.u_evictions u.Ucode_cache.u_occupancy
-        u.Ucode_cache.u_max_occupancy);
-  let session_slack =
-    s.Stats.translations_started - s.Stats.ucode_installs
-    - s.Stats.translations_aborted
-  in
-  check "translation-sessions"
-    ((session_slack = 0 || session_slack = 1)
-    || (s.Stats.translations_started = 0 && s.Stats.translations_aborted = 0))
-    (fun () ->
-      Printf.sprintf "started %d, installs %d, aborted %d"
-        s.Stats.translations_started s.Stats.ucode_installs
-        s.Stats.translations_aborted);
-  let gap_pairs =
-    List.fold_left
-      (fun acc r -> acc + max 0 (r.r_calls - 1))
-      0 t.s_regions
-  in
-  check "gap-samples"
-    (Hist.count t.s_gap_hist = gap_pairs) (fun () ->
-      Printf.sprintf "gap histogram holds %d samples, expected %d"
-        (Hist.count t.s_gap_hist) gap_pairs);
-  check "pred-conservation"
-    (t.s_pred_fast + t.s_pred_masked = t.s_vla_preds) (fun () ->
-      Printf.sprintf "fast %d + masked %d <> dispatched %d" t.s_pred_fast
-        t.s_pred_masked t.s_vla_preds);
-  check "perm-conservation"
-    (t.s_permutes_recovered + t.s_permutes_aborted = t.s_permutes_seen)
-    (fun () ->
-      Printf.sprintf "recovered %d + aborted %d <> seen %d"
-        t.s_permutes_recovered t.s_permutes_aborted t.s_permutes_seen);
-  List.rev !bad
-
-let stats_fields (s : Stats.t) =
+(* Tallies over the regions and histograms that relations also read. *)
+let derived =
+  let regions f t = List.fold_left (fun acc r -> acc + f r) 0 t.s_regions in
   [
-    ("cycles", s.Stats.cycles);
-    ("fetches", s.Stats.fetches);
-    ("scalar_insns", s.Stats.scalar_insns);
-    ("vector_insns", s.Stats.vector_insns);
-    ("uops_retired", s.Stats.uops_retired);
-    ("loads", s.Stats.loads);
-    ("stores", s.Stats.stores);
-    ("branches", s.Stats.branches);
-    ("branch_mispredicts", s.Stats.branch_mispredicts);
-    ("icache_hits", s.Stats.icache_hits);
-    ("icache_misses", s.Stats.icache_misses);
-    ("dcache_hits", s.Stats.dcache_hits);
-    ("dcache_misses", s.Stats.dcache_misses);
-    ("region_calls", s.Stats.region_calls);
-    ("ucode_hits", s.Stats.ucode_hits);
-    ("ucode_installs", s.Stats.ucode_installs);
-    ("ucode_evictions", s.Stats.ucode_evictions);
-    ("translations_started", s.Stats.translations_started);
-    ("translations_aborted", s.Stats.translations_aborted);
-    ("translation_busy_cycles", s.Stats.translation_busy_cycles);
+    ("regions.calls", regions (fun r -> r.r_calls));
+    ("regions.ucode_served", regions (fun r -> r.r_ucode_served));
+    ("regions.call_pairs", regions (fun r -> max 0 (r.r_calls - 1)));
+    ("regions.overserved", regions (fun r -> Bool.to_int (r.r_ucode_served > r.r_calls)));
+    ("hist.inter_call_gap_cycles.count", fun t -> Hist.count t.s_gap_hist);
   ]
 
-let cache_json = function
-  | None -> Json.Null
-  | Some c ->
-      Json.Obj
-        [ ("hits", Json.Int c.Cache.c_hits); ("misses", Json.Int c.Cache.c_misses) ]
+(* One side of a relation: a sum ["a + b + 1"] of registered names,
+   derived tallies and integer literals. It is parsed once, so an
+   unregistered name fails as the module initialises. *)
+let side s =
+  List.map
+    (fun n ->
+      let n = String.trim n in
+      match (int_of_string_opt n, List.assoc_opt n derived) with
+      | Some k, _ -> (None, fun _ -> k)
+      | None, Some f -> (Some n, f)
+      | None, None ->
+          let i = index n in
+          (Some n, fun t -> Option.value ~default:0 t.s_counters.(i)))
+    (String.split_on_char '+' s)
+
+(* A relation returns [None] when it holds and the offending values
+   otherwise. *)
+let rel sym holds lhs rhs =
+  let lhs = side lhs and rhs = side rhs in
+  let rec total t = function [] -> 0 | (_, read) :: terms -> read t + total t terms in
+  fun t ->
+    if holds (total t lhs) (total t rhs) then None
+    else
+      let show terms =
+        String.concat " + "
+          (List.map
+             (fun (n, read) ->
+               match n with
+               | Some n -> Printf.sprintf "%s %d" n (read t)
+               | None -> string_of_int (read t))
+             terms)
+      in
+      Some (Printf.sprintf "expected %s %s %s" (show lhs) sym (show rhs))
+
+let eq = rel "=" ( = )
+let le = rel "<=" ( <= )
+let all rels t = List.find_map (fun r -> r t) rels
+let any rels t = if List.exists (fun r -> r t = None) rels then None else (List.hd rels) t
+
+let if_present section r t =
+  if List.exists (fun (i, _) -> t.s_counters.(i) <> None) (List.assoc section members) then r t
+  else None
+
+let invariants =
+  [
+    ( "insn-conservation",
+      eq "stats.scalar_insns + stats.vector_insns" "stats.fetches + stats.uops_retired" );
+    ( "icache-mirror",
+      all [ eq "stats.icache_hits" "icache.hits"; eq "stats.icache_misses" "icache.misses" ] );
+    ("icache-fetches", if_present "icache" (eq "icache.hits + icache.misses" "stats.fetches"));
+    ( "dcache-mirror",
+      all [ eq "stats.dcache_hits" "dcache.hits"; eq "stats.dcache_misses" "dcache.misses" ] );
+    ( "branch-mirror",
+      all
+        [
+          eq "stats.branches" "branch_pred.lookups";
+          eq "stats.branch_mispredicts" "branch_pred.mispredicts";
+          le "stats.branch_mispredicts" "stats.branches";
+        ] );
+    ("region-calls", all [ eq "regions.calls" "stats.region_calls"; eq "regions.overserved" "0" ]);
+    ( "ucode-hits",
+      all
+        [ eq "regions.ucode_served" "stats.ucode_hits"; le "stats.ucode_hits" "stats.region_calls" ]
+    );
+    ( "ucache-mirror",
+      all
+        [
+          eq "stats.ucode_installs" "ucode_cache.installs";
+          eq "stats.ucode_evictions" "ucode_cache.evictions";
+        ] );
+    ( "ucache-occupancy",
+      all
+        [
+          eq "ucode_cache.installs"
+            "ucode_cache.replacements + ucode_cache.evictions + ucode_cache.occupancy";
+          le "ucode_cache.occupancy" "ucode_cache.max_occupancy";
+        ] );
+    (* at most one session is still open at halt; oracle runs install
+       without opening sessions *)
+    ( "translation-sessions",
+      let started = "stats.translations_started"
+      and ended = "stats.ucode_installs + stats.translations_aborted" in
+      any
+        [
+          eq started ended;
+          eq started (ended ^ " + 1");
+          all [ eq started "0"; eq "stats.translations_aborted" "0" ];
+        ] );
+    ("gap-samples", eq "hist.inter_call_gap_cycles.count" "regions.call_pairs");
+    ( "pred-conservation",
+      eq "predication.fast_iters + predication.masked_iters" "predication.dispatched" );
+    ("perm-conservation", eq "permutation.recovered + permutation.aborted" "permutation.seen");
+  ]
+
+let invariant_count = List.length invariants
+
+let violations t =
+  List.filter_map (fun (n, holds) -> Option.map (fun d -> n ^ ": " ^ d) (holds t)) invariants
+
+(* --- emitters --- *)
 
 let region_json r =
   Json.Obj
@@ -262,71 +304,39 @@ let region_json r =
       ("uops", Json.Int r.r_uops);
     ]
 
+let section_json t counters =
+  let field (i, c) = Option.map (fun v -> (c.key, Json.Int v)) t.s_counters.(i) in
+  match List.filter_map field counters with [] -> Json.Null | kvs -> Json.Obj kvs
+
+(* Schema liquid-obs-snapshot/1 places the per-region timelines between
+   the hardware-unit sections and the engine sections. *)
+let regions_follow = "ucode_cache"
+
 let to_json t =
-  let viols = violations t in
+  let counters =
+    List.concat_map
+      (fun (s, counters) ->
+        (s, section_json t counters)
+        :: (if s = regions_follow then [ ("regions", Json.List (List.map region_json t.s_regions)) ]
+            else []))
+      members
+  in
   Json.Obj
-    [
-      ("schema", Json.Str "liquid-obs-snapshot/1");
-      ("label", Json.Str t.s_label);
-      ("variant", Json.Str t.s_variant);
-      ( "stats",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) (stats_fields t.s_stats))
-      );
-      ("icache", cache_json t.s_icache);
-      ("dcache", cache_json t.s_dcache);
-      ( "branch_pred",
-        Json.Obj
-          [
-            ("lookups", Json.Int t.s_bpred.Branch_pred.p_lookups);
-            ("mispredicts", Json.Int t.s_bpred.Branch_pred.p_mispredicts);
-          ] );
-      ( "ucode_cache",
-        Json.Obj
-          [
-            ("installs", Json.Int t.s_ucache.Ucode_cache.u_installs);
-            ("replacements", Json.Int t.s_ucache.Ucode_cache.u_replacements);
-            ("evictions", Json.Int t.s_ucache.Ucode_cache.u_evictions);
-            ("occupancy", Json.Int t.s_ucache.Ucode_cache.u_occupancy);
-            ("max_occupancy", Json.Int t.s_ucache.Ucode_cache.u_max_occupancy);
-          ] );
-      ("regions", Json.List (List.map region_json t.s_regions));
-      ( "superblocks",
-        Json.Obj
-          [
-            ("compiled", Json.Int t.s_superblocks_compiled);
-            ("iterations", Json.Int t.s_superblock_iters);
-            ("bailouts", Json.Int t.s_superblock_bailouts);
-          ] );
-      ( "predication",
-        Json.Obj
-          [
-            ("fast_iters", Json.Int t.s_pred_fast);
-            ("masked_iters", Json.Int t.s_pred_masked);
-            ("dispatched", Json.Int t.s_vla_preds);
-          ] );
-      ( "permutation",
-        Json.Obj
-          [
-            ("seen", Json.Int t.s_permutes_seen);
-            ("recovered", Json.Int t.s_permutes_recovered);
-            ("aborted", Json.Int t.s_permutes_aborted);
-            ("tbl_index_builds", Json.Int t.s_tbl_index_builds);
-          ] );
-      ( "histograms",
-        Json.Obj
-          [
-            ("translation_latency_cycles", Hist.to_json t.s_latency_hist);
-            ("inter_call_gap_cycles", Hist.to_json t.s_gap_hist);
-            ("region_uops", Hist.to_json t.s_uops_hist);
-          ] );
-      ( "invariants",
-        Json.Obj
-          [
-            ("checked", Json.Int invariant_count);
-            ("violations", Json.List (List.map (fun v -> Json.Str v) viols));
-          ] );
-    ]
+    ([
+       ("schema", Json.Str "liquid-obs-snapshot/1");
+       ("label", Json.Str t.s_label);
+       ("variant", Json.Str t.s_variant);
+     ]
+    @ counters
+    @ [
+        ("histograms", Json.Obj (List.map (fun (n, h) -> (n, Hist.to_json (h t))) histograms));
+        ( "invariants",
+          Json.Obj
+            [
+              ("checked", Json.Int invariant_count);
+              ("violations", Json.List (List.map (fun v -> Json.Str v) (violations t)));
+            ] );
+      ])
 
 let to_csv t =
   let buf = Buffer.create 1024 in
@@ -340,34 +350,7 @@ let to_csv t =
   row "key" "value";
   row "label" (quote t.s_label);
   row "variant" (quote t.s_variant);
-  List.iter (fun (k, v) -> int_row ("stats." ^ k) v) (stats_fields t.s_stats);
-  (match t.s_icache with
-  | None -> ()
-  | Some c ->
-      int_row "icache.hits" c.Cache.c_hits;
-      int_row "icache.misses" c.Cache.c_misses);
-  (match t.s_dcache with
-  | None -> ()
-  | Some c ->
-      int_row "dcache.hits" c.Cache.c_hits;
-      int_row "dcache.misses" c.Cache.c_misses);
-  int_row "branch_pred.lookups" t.s_bpred.Branch_pred.p_lookups;
-  int_row "branch_pred.mispredicts" t.s_bpred.Branch_pred.p_mispredicts;
-  int_row "ucode_cache.installs" t.s_ucache.Ucode_cache.u_installs;
-  int_row "ucode_cache.replacements" t.s_ucache.Ucode_cache.u_replacements;
-  int_row "ucode_cache.evictions" t.s_ucache.Ucode_cache.u_evictions;
-  int_row "ucode_cache.occupancy" t.s_ucache.Ucode_cache.u_occupancy;
-  int_row "ucode_cache.max_occupancy" t.s_ucache.Ucode_cache.u_max_occupancy;
-  int_row "superblocks.compiled" t.s_superblocks_compiled;
-  int_row "superblocks.iterations" t.s_superblock_iters;
-  int_row "superblocks.bailouts" t.s_superblock_bailouts;
-  int_row "predication.fast_iters" t.s_pred_fast;
-  int_row "predication.masked_iters" t.s_pred_masked;
-  int_row "predication.dispatched" t.s_vla_preds;
-  int_row "permutation.seen" t.s_permutes_seen;
-  int_row "permutation.recovered" t.s_permutes_recovered;
-  int_row "permutation.aborted" t.s_permutes_aborted;
-  int_row "permutation.tbl_index_builds" t.s_tbl_index_builds;
+  List.iteri (fun i n -> Option.iter (int_row n) t.s_counters.(i)) names;
   List.iter
     (fun r ->
       let p k v = int_row (Printf.sprintf "region.%s.%s" r.r_label k) v in
@@ -378,19 +361,16 @@ let to_csv t =
       p "width" r.r_width;
       p "uops" r.r_uops)
     t.s_regions;
-  let hist name h =
-    int_row (name ^ ".count") (Hist.count h);
-    int_row (name ^ ".total") (Hist.total h);
-    int_row (name ^ ".min") (Hist.min_value h);
-    int_row (name ^ ".max") (Hist.max_value h);
-    row (name ^ ".mean") (Printf.sprintf "%.3f" (Hist.mean h));
-    Hist.iter_buckets h (fun ~lo ~hi ~count ->
-        int_row (Printf.sprintf "%s.bucket.%d-%d" name lo hi) count)
-  in
-  hist "hist.translation_latency_cycles" t.s_latency_hist;
-  hist "hist.inter_call_gap_cycles" t.s_gap_hist;
-  hist "hist.region_uops" t.s_uops_hist;
   List.iter
-    (fun v -> row "invariant.violation" (quote v))
-    (violations t);
+    (fun (name, h) ->
+      let name = "hist." ^ name and h = h t in
+      int_row (name ^ ".count") (Hist.count h);
+      int_row (name ^ ".total") (Hist.total h);
+      int_row (name ^ ".min") (Hist.min_value h);
+      int_row (name ^ ".max") (Hist.max_value h);
+      row (name ^ ".mean") (Printf.sprintf "%.3f" (Hist.mean h));
+      Hist.iter_buckets h (fun ~lo ~hi ~count ->
+          int_row (Printf.sprintf "%s.bucket.%d-%d" name lo hi) count))
+    histograms;
+  List.iter (fun v -> row "invariant.violation" (quote v)) (violations t);
   Buffer.contents buf

@@ -2,18 +2,49 @@
     single place the rest of the system (benchmarks, CLI, tests) reads
     telemetry from.
 
-    A snapshot folds together the run-level {!Liquid_machine.Stats}
-    counters, the internal tallies of each hardware unit (instruction
-    and data {!Liquid_machine.Cache}, {!Liquid_machine.Branch_pred},
-    {!Liquid_pipeline.Ucode_cache}), the per-region timelines, and three
-    histograms (translation latency, inter-call gap, installed region
-    uop count). {!violations} then checks the conservation invariants
-    that tie those layers together; any counter drift between [Stats]
-    and a unit's own tally — a second writer sneaking back in — comes
-    out as a named violation instead of a silently wrong table. *)
+    Every scalar counter is declared once, in {!registry}: its section,
+    its key, what it measures and how to read it off a
+    {!Liquid_pipeline.Cpu.run}. The run-level {!Liquid_machine.Stats}
+    counters come from {!Liquid_machine.Stats.fields}; the others are
+    the internal tallies of each hardware unit (instruction and data
+    {!Liquid_machine.Cache}, {!Liquid_machine.Branch_pred},
+    {!Liquid_pipeline.Ucode_cache}) and of the execution engine. The
+    JSON document, the CSV rows and {!Schema.snapshot} are all derived
+    from that list, so adding a counter is one [Cpu.run] field and one
+    registry line.
 
-open Liquid_machine
+    Beside the counters a snapshot holds the per-region timelines and
+    three histograms (translation latency, inter-call gap, installed
+    region uop count). {!invariants} then states the conservation laws
+    that tie those layers together as relations over registered names;
+    any drift between [Stats] and a unit's own tally — a second writer
+    sneaking back in — comes out as a named violation instead of a
+    silently wrong table. *)
+
 open Liquid_pipeline
+
+type counter = {
+  section : string;  (** JSON object / CSV prefix the counter lives in *)
+  key : string;  (** its key within the section *)
+  doc : string;  (** what it measures *)
+  get : Cpu.run -> int;  (** how to read it off a finished run *)
+}
+
+val registry : counter list
+(** Every snapshot counter, in document order. *)
+
+val index : string -> int
+(** Position in {!registry} of a registered name ["section.key"] (also
+    the counter's CSV row key). Raises [Invalid_argument] on an
+    unregistered name. *)
+
+val sections : string list
+(** The distinct sections of {!registry}, in document order. *)
+
+val nullable : string -> bool
+(** Sections of a unit the machine may lack ([icache], [dcache]). When
+    the unit is absent the section is [null] in JSON and has no CSV
+    rows. *)
 
 type region = {
   r_label : string;
@@ -29,34 +60,10 @@ type region = {
 type t = {
   s_label : string;
   s_variant : string;
-  s_stats : Stats.t;  (** detached copy — safe to hold *)
-  s_icache : Cache.counters option;
-  s_dcache : Cache.counters option;
-  s_bpred : Branch_pred.counters;
-  s_ucache : Ucode_cache.counters;
+  s_counters : int option array;
+      (** one value per {!registry} entry, at its {!index}; [None] for
+          the counters of a unit the machine lacks *)
   s_regions : region list;
-  s_superblocks_compiled : int;
-      (** trace superblocks formed by the block engine's trace tier *)
-  s_superblock_iters : int;  (** whole loop iterations run through one *)
-  s_superblock_bailouts : int;
-      (** superblock exits back to the block path (guard fails + fuel) *)
-  s_pred_fast : int;
-      (** predicated vector executions on the all-true fast path *)
-  s_pred_masked : int;
-      (** predicated vector executions through the masked path *)
-  s_vla_preds : int;
-      (** predicated vector uops dispatched — the independent tally the
-          fast/masked split must account for *)
-  s_permutes_seen : int;
-      (** permutation slots the translator resolved across all sessions *)
-  s_permutes_recovered : int;
-      (** permutations lowered to a native [Vperm] or a VLA table lookup *)
-  s_permutes_aborted : int;
-      (** permutations that killed their translation session — the
-          independent tally recovery must account for *)
-  s_tbl_index_builds : int;
-      (** runtime index-table materialisations ([Tblidx] executions) —
-          once per region call and recovered pattern on the VLA backend *)
   s_latency_hist : Hist.t;
       (** translation latency in cycles, one sample per completed
           translation; populated only when a {!Collector} observed the
@@ -67,39 +74,27 @@ type t = {
   s_uops_hist : Hist.t;  (** installed region microcode lengths *)
 }
 
+val histograms : (string * (t -> Hist.t)) list
+(** The histograms by document name, in document order. *)
+
 val of_run :
   ?label:string -> ?variant:string -> ?collector:Collector.t -> Cpu.run -> t
 
+val invariants : (string * (t -> string option)) list
+(** The named conservation invariants, in check order. Each is a
+    relation over registered names (plus a few tallies over the regions
+    and the gap histogram) that returns [None] when it holds and the
+    offending values otherwise. The declarations in [snapshot.ml] read
+    as the laws themselves — e.g. [insn-conservation] is
+    ["stats.scalar_insns + stats.vector_insns" = "stats.fetches +
+    stats.uops_retired"]; DESIGN.md §8 explains each one. *)
+
 val invariant_count : int
-(** Number of named conservation invariants {!violations} checks. *)
+(** [List.length invariants]; the document's [invariants.checked]. *)
 
 val violations : t -> string list
-(** Empty iff every conservation invariant holds:
-    - [insn-conservation]: retired scalar + vector instructions equal
-      image fetches + microcode uops;
-    - [icache-mirror] / [icache-fetches]: [Stats.icache_*] equals the
-      instruction cache's own tally, and hits + misses equal fetches;
-    - [dcache-mirror]: same for the data cache;
-    - [branch-mirror]: [Stats.branches]/[branch_mispredicts] equal the
-      predictor's lookups/mispredicts (and mispredicts <= lookups);
-    - [region-calls]: region executions summed over regions equal
-      [Stats.region_calls], and ucode hits + scalar executions account
-      for every call;
-    - [ucode-hits]: per-region served counts sum to [Stats.ucode_hits];
-    - [ucache-mirror]: [Stats.ucode_installs]/[ucode_evictions] equal
-      the microcode cache's own tally;
-    - [ucache-occupancy]: installs = replacements + evictions +
-      occupancy, occupancy <= high-water mark;
-    - [translation-sessions]: every started session ends in exactly one
-      install or abort (at most one session still open at halt);
-    - [gap-samples]: the inter-call-gap histogram holds exactly one
-      sample per consecutive call pair;
-    - [pred-conservation]: every dispatched predicated vector uop took
-      exactly one of the all-true fast path or the masked path
-      ([pred_fast + pred_masked = dispatched]);
-    - [perm-conservation]: every permutation the translator saw was
-      either recovered or aborted the session
-      ([recovered + aborted = seen]). *)
+(** ["name: detail"] for each invariant that fails, in {!invariants}
+    order; empty iff every one holds. *)
 
 val to_json : t -> Json.t
 (** Schema ["liquid-obs-snapshot/1"]; validated by {!Schema.snapshot}.

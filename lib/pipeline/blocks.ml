@@ -433,21 +433,29 @@ let compile_suop insn =
 let scalar_charge eng (insn : Insn.exec) =
   match insn with Insn.Dp { op = Opcode.Mul; _ } -> 1 + eng.mul_extra | _ -> 1
 
-let vector_charge eng ~lanes (v : Vinsn.exec) =
-  let bus = eng.vec_bus_bytes in
+let gather_charge ~bus ~lanes esize =
+  1 + (lanes * ((Esize.bytes esize + bus - 1) / bus))
+
+let vector_charge ~mul_extra ~bus ~lanes (v : Vinsn.exec) =
   let extra esize =
     let bytes = lanes * Esize.bytes esize in
     max 0 (((bytes + bus - 1) / bus) - 1)
   in
   match v with
-  | Vinsn.Vdp { op = Opcode.Mul; _ } -> 1 + eng.mul_extra
+  | Vinsn.Vdp { op = Opcode.Mul; _ } -> 1 + mul_extra
   | Vinsn.Vred _ -> 2
   | Vinsn.Vld { esize; _ } | Vinsn.Vst { esize; _ } -> 1 + extra esize
   | Vinsn.Vlds { esize; stride; _ } | Vinsn.Vsts { esize; stride; _ } ->
       1 + (stride * (extra esize + 1))
-  | Vinsn.Vgather { esize; _ } ->
-      1 + (lanes * ((Esize.bytes esize + bus - 1) / bus))
+  | Vinsn.Vgather { esize; _ } -> gather_charge ~bus ~lanes esize
   | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ -> 1
+
+let governed_charge ~mul_extra ~bus ~lanes (g : Governed.t) =
+  match g with
+  | Governed.Op { v; _ } -> vector_charge ~mul_extra ~bus ~lanes v
+  | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
+      gather_charge ~bus ~lanes esize
+  | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> 1
 
 (* --- closure compilation --- *)
 
@@ -690,7 +698,10 @@ let compile_block eng pc0 =
               end
               else begin
                 uops := Svec v :: !uops;
-                charges := vector_charge eng ~lanes:eng.lanes v :: !charges;
+                charges :=
+                  vector_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
+                    ~lanes:eng.lanes v
+                  :: !charges;
                 incr nu;
                 incr pc
               end
@@ -1392,22 +1403,17 @@ let compile_useg eng uc j =
         | None -> term := Some `Bail)
     | Ucode.UV v ->
         acc := Svec v :: !acc;
-        charges := vector_charge eng ~lanes:width v :: !charges;
+        charges :=
+          vector_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
+            ~lanes:width v
+          :: !charges;
         incr nu;
         incr i
     | Ucode.UG g ->
         acc := Sgov g :: !acc;
         charges :=
-          (match g with
-          | Governed.Op { v; _ } -> vector_charge eng ~lanes:width v
-          | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
-              (* gather-style bus timing, matching the stepping
-                 interpreter's charge for recovered permutations *)
-              1
-              + width
-                * ((Esize.bytes esize + eng.vec_bus_bytes - 1)
-                  / eng.vec_bus_bytes)
-          | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> 1)
+          governed_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
+            ~lanes:width g
           :: !charges;
         incr nu;
         incr i

@@ -42,6 +42,30 @@ open Liquid_translate
 
 type t
 
+(** {2 Static charges}
+
+    The cycles one dispatch costs before any cache or predictor penalty.
+    The stepping interpreter in {!Cpu} and the block engine both charge
+    through these, so the two tiers cannot drift apart. *)
+
+val gather_charge : bus:int -> lanes:int -> Liquid_isa.Esize.t -> int
+(** A gather-style dispatch (a [Vgather], or a recovered permutation's
+    [Tbl]/[Tblst] table lookup): one issue cycle plus one bus beat per
+    lane. Lanes do not coalesce, and an element spans beats only when it
+    is wider than the [bus]-byte bus. *)
+
+val vector_charge :
+  mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Vinsn.exec -> int
+(** One vector instruction: issue, the multiplier and reduction-tree
+    extras, and the bus beats of a memory access beyond the first. *)
+
+val governed_charge :
+  mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Governed.t -> int
+(** One governed uop. A datapath op pays {!vector_charge} of its
+    ungoverned form (a partial count masks lanes; it does not shorten
+    the bus or issue timing), a table lookup pays {!gather_charge}, and
+    index builds and governor/counter management pay one cycle. *)
+
 val create :
   image:Image.t ->
   ctx:Sem.ctx ->

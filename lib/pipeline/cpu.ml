@@ -251,42 +251,16 @@ let charge_accesses st =
       ~write:ctx.Sem.acc_write.(i)
   done
 
-(* A vector memory access moves [lanes * element] bytes over the memory
-   bus; beyond the first bus beat, each extra beat costs a cycle. This is
-   what makes wide vectors saturate (the paper's diminishing returns from
-   8 to 16 lanes on memory-bound loops). *)
-let charge_vector_mem st (v : Vinsn.exec) =
-  let extra esize =
-    let bytes = st.ctx.Sem.lanes * Esize.bytes esize in
-    max 0 ((bytes + st.cfg.vec_bus_bytes - 1) / st.cfg.vec_bus_bytes - 1)
-  in
-  match v with
-  | Vinsn.Vld { esize; _ } | Vinsn.Vst { esize; _ } -> charge st (extra esize)
-  | Vinsn.Vlds { esize; stride; _ } | Vinsn.Vsts { esize; stride; _ } ->
-      (* A strided access touches [stride] times the data of a unit
-         access. *)
-      charge st (stride * (extra esize + 1))
-  | Vinsn.Vgather { esize; _ } ->
-      (* One bus beat per lane: gathers do not coalesce. The ceiling
-         division is per lane — an element never spans bus beats unless
-         it is wider than the bus. *)
-      charge st
-        (st.ctx.Sem.lanes
-        * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1) / st.cfg.vec_bus_bytes))
-  | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ | Vinsn.Vred _ -> ()
-
-(* The static charges of one vector-instruction dispatch: issue, the
-   multiplier and reduction-tree extras, and the bus beats. A governed
-   op pays the same as its ungoverned form — a partial count masks
-   lanes, it does not shorten the machine's bus or issue timing. *)
+(* The static charges of one vector-instruction dispatch (see
+   {!Blocks.vector_charge}). A wide memory access moves
+   [lanes * element] bytes over the bus, one extra cycle per beat after
+   the first: this is what makes wide vectors saturate (the paper's
+   diminishing returns from 8 to 16 lanes on memory-bound loops). *)
 let charge_vector st (v : Vinsn.exec) =
   st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-  charge st 1;
-  (match v with
-  | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-  | Vinsn.Vred _ -> charge st 1
-  | _ -> ());
-  charge_vector_mem st v
+  charge st
+    (Blocks.vector_charge ~mul_extra:st.cfg.mul_extra ~bus:st.cfg.vec_bus_bytes
+       ~lanes:st.ctx.Sem.lanes v)
 
 let diag st fault =
   Diag.Error
@@ -467,27 +441,16 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
            accounts as scalar work; a governed datapath op is vector
            work with the static charges of its ungoverned form. *)
         (match g with
-        | Governed.Op { v; _ } ->
+        | Governed.Op _ | Governed.Tbl _ | Governed.Tblst _ ->
             st.vla_preds <- st.vla_preds + 1;
-            charge_vector st v
-        | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
-            (* A recovered permutation: a governed dispatch with
-               gather-style bus timing — one beat per lane, no
-               coalescing, elements never span beats unless wider than
-               the bus. *)
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            charge st
-              (st.ctx.Sem.lanes
-              * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1)
-                / st.cfg.vec_bus_bytes))
+            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
         | Governed.Tblidx _ ->
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1
+            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
         | Governed.Set_active _ | Governed.Advance _ ->
-            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-            charge st 1);
+            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1);
+        charge st
+          (Blocks.governed_charge ~mul_extra:st.cfg.mul_extra
+             ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes g);
         Sem.exec_governed st.ctx g;
         charge_accesses st;
         incr ui

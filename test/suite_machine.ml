@@ -185,20 +185,6 @@ let test_bpred_counters () =
   Branch_pred.reset_stats b;
   check "reset" 0 (Branch_pred.lookups b)
 
-(* --- Stats --- *)
-
-let test_stats_add () =
-  let a = Stats.create () and b = Stats.create () in
-  a.Stats.cycles <- 10;
-  b.Stats.cycles <- 5;
-  b.Stats.scalar_insns <- 3;
-  Stats.add a b;
-  check "cycles" 15 a.Stats.cycles;
-  check "insns" 3 a.Stats.scalar_insns;
-  check "total" 3 (Stats.total_insns a);
-  Stats.reset a;
-  check "reset" 0 a.Stats.cycles
-
 let tests =
   [
     Alcotest.test_case "memory: fresh reads zero" `Quick test_memory_zero_fresh;
@@ -221,5 +207,4 @@ let tests =
     Alcotest.test_case "bpred: static not taken" `Quick test_bpred_static_not_taken;
     Alcotest.test_case "bpred: aliasing" `Quick test_bpred_aliasing;
     Alcotest.test_case "bpred: counters" `Quick test_bpred_counters;
-    Alcotest.test_case "stats: add/reset" `Quick test_stats_add;
   ]

@@ -294,13 +294,87 @@ let test_schema_rejects () =
     | Json.Obj fields -> Json.Obj (List.remove_assoc name fields)
     | j -> j
   in
+  let null name j =
+    match strip name j with Json.Obj fields -> Json.Obj ((name, Json.Null) :: fields) | j -> j
+  in
+  let rejects what doc =
+    if Schema.snapshot doc = [] then Alcotest.failf "schema accepted %s" what
+  in
   let json = Snapshot.to_json snap in
   List.iter
-    (fun name ->
-      match Schema.snapshot (strip name json) with
-      | [] -> Alcotest.failf "schema accepted a document without %S" name
-      | _ -> ())
-    [ "schema"; "stats"; "histograms"; "invariants"; "regions" ]
+    (fun name -> rejects ("a document without " ^ name) (strip name json))
+    ([ "schema"; "label"; "variant"; "regions"; "histograms"; "invariants" ]
+    @ Snapshot.sections);
+  (* Without caches, exactly the nullable sections read [null]; the
+     document still validates and the invariants still hold. *)
+  let config = { (Cpu.liquid_config ~lanes:8) with Cpu.icache = None; Cpu.dcache = None } in
+  let program = Runner.program_of (find "FIR") (Helpers.liquid 8) in
+  let snap = Snapshot.of_run (Cpu.run ~config (Image.of_program program)) in
+  let json = Snapshot.to_json snap in
+  check_case "cacheless invariants" (Snapshot.violations snap);
+  check_case "cacheless schema" (Schema.snapshot json);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (s ^ " is null iff nullable") (Snapshot.nullable s)
+        (Json.member s json = Some Json.Null))
+    Snapshot.sections;
+  rejects "a null stats section" (null "stats" json)
+
+(* Every registered invariant can fire: on a clean FIR liquid:8 snapshot,
+   nudging one counter the invariant reads yields exactly that named
+   violation. [icache-fetches] reads only counters that another
+   invariant also reads, so its perturbation fires that one too. *)
+let test_invariants_fire () =
+  let snap = Runner.snapshot (Runner.run_cached (find "FIR") (Helpers.liquid 8)) in
+  check_case "clean snapshot" (Snapshot.violations snap);
+  let bump name (snap : Snapshot.t) =
+    let values = Array.copy snap.Snapshot.s_counters in
+    let i = Snapshot.index name in
+    (match values.(i) with
+    | Some v -> values.(i) <- Some (v + 1)
+    | None -> Alcotest.failf "FIR liquid:8 snapshot has no counter %s" name);
+    { snap with Snapshot.s_counters = values }
+  in
+  let extra_gap (snap : Snapshot.t) =
+    let h = Hist.create () in
+    Hist.merge h snap.Snapshot.s_gap_hist;
+    Hist.add h 0;
+    { snap with Snapshot.s_gap_hist = h }
+  in
+  let cases =
+    [
+      ("insn-conservation", bump "stats.uops_retired", []);
+      ("icache-mirror", bump "stats.icache_hits", []);
+      ("icache-fetches", bump "stats.fetches", [ "insn-conservation" ]);
+      ("dcache-mirror", bump "stats.dcache_hits", []);
+      ("branch-mirror", bump "stats.branches", []);
+      ("region-calls", bump "stats.region_calls", []);
+      ("ucode-hits", bump "stats.ucode_hits", []);
+      ("ucache-mirror", bump "stats.ucode_evictions", []);
+      ("ucache-occupancy", bump "ucode_cache.replacements", []);
+      ("translation-sessions", bump "stats.translations_aborted", []);
+      ("gap-samples", extra_gap, []);
+      ("pred-conservation", bump "predication.dispatched", []);
+      ("perm-conservation", bump "permutation.seen", []);
+    ]
+  in
+  Alcotest.(check (list string))
+    "one perturbation per registered invariant"
+    (List.map fst Snapshot.invariants)
+    (List.map (fun (n, _, _) -> n) cases);
+  List.iter
+    (fun (name, perturb, also) ->
+      let fired =
+        List.map
+          (fun v -> List.hd (String.split_on_char ':' v))
+          (Snapshot.violations (perturb snap))
+      in
+      Alcotest.(check (list string))
+        (name ^ " fires")
+        (List.sort compare (name :: also))
+        (List.sort compare fired))
+    cases
 
 let tests =
   [
@@ -312,6 +386,7 @@ let tests =
     Alcotest.test_case "collector + snapshot on FIR" `Quick test_collector_fir;
     Alcotest.test_case "schema rejects malformed documents" `Quick
       test_schema_rejects;
+    Alcotest.test_case "every invariant can fire" `Quick test_invariants_fire;
     Alcotest.test_case "invariant matrix (all workloads x variants x widths)"
       `Slow test_invariant_matrix;
     Alcotest.test_case "invariants under fault campaign" `Slow
