@@ -251,43 +251,20 @@ let translate_cmd =
   let run (w : Workload.t) lanes backend =
     let program = Liquid_scalarize.Codegen.liquid w.Workload.program in
     let image = Image.of_program program in
-    let mem = Liquid_machine.Memory.create () in
-    Image.load_memory image mem;
-    (* Drive each region once through the architectural interpreter and
-       feed the retirement stream to a fresh translator session. *)
-    List.iter
-      (fun (entry, label) ->
-        let ctx = Sem.create_ctx mem in
-        let tr =
-          Liquid_translate.Translator.create
-            (Liquid_translate.Translator.default_config ~backend ~lanes ())
-        in
-        let pc = ref entry in
-        let running = ref true in
-        let steps = ref 0 in
-        while !running && !steps < 2_000_000 do
-          incr steps;
-          let insn =
-            match image.Image.code.(!pc) with
-            | Liquid_visa.Minsn.S i -> i
-            | Liquid_visa.Minsn.V _ -> failwith "vector insn in liquid binary"
-          in
-          let outcome, eff = Sem.step_scalar ctx ~pc:!pc insn in
-          Liquid_translate.Translator.feed tr
-            (Liquid_translate.Event.make ~pc:!pc ?value:eff.Sem.value insn);
-          match outcome with
-          | Sem.Next -> incr pc
-          | Sem.Jump t -> pc := t
-          | Sem.Return | Sem.Stop -> running := false
-          | Sem.Call _ -> failwith "call inside region"
-        done;
-        Format.printf "=== %s ===@." label;
-        match Liquid_translate.Translator.finish tr with
-        | Liquid_translate.Translator.Translated u ->
-            Format.printf "%a@." Liquid_translate.Ucode.pp u
-        | Liquid_translate.Translator.Aborted reason ->
-            Format.printf "aborted: %a@." Liquid_translate.Abort.pp reason)
-      image.Image.region_entries
+    match Offline.translate_all ~backend ~image ~lanes () with
+    | exception Diag.Error d ->
+        Format.eprintf "liquid_cli: %s: %a@." w.Workload.name Diag.pp d;
+        exit 1
+    | results ->
+        List.iter
+          (fun (_, label, result) ->
+            Format.printf "=== %s ===@." label;
+            match result with
+            | Liquid_translate.Translator.Translated u ->
+                Format.printf "%a@." Liquid_translate.Ucode.pp u
+            | Liquid_translate.Translator.Aborted reason ->
+                Format.printf "aborted: %a@." Liquid_translate.Abort.pp reason)
+          results
   in
   Cmd.v (Cmd.info "translate" ~doc)
     Term.(const run $ workload_arg $ width_arg $ backend_arg)

@@ -39,8 +39,11 @@ let translate_region_result ?(max_uops = 64) ?(backend = Backend.fixed) ?state
       match image.Image.code.(!pc) with
       | Minsn.V _ -> fail Diag.Region_vector_insn
       | Minsn.S insn -> (
-          let outcome, eff = Sem.step_scalar ctx ~pc:!pc insn in
-          Translator.feed tr (Event.make ~pc:!pc ?value:eff.Sem.value insn);
+          let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
+          let value = ctx.Sem.e_value in
+          Translator.feed tr
+            (if value = Sem.no_value then Event.make ~pc:!pc insn
+             else Event.make ~pc:!pc ~value insn);
           match outcome with
           | Sem.Next -> incr pc
           | Sem.Jump t -> pc := t
@@ -63,8 +66,14 @@ let translate_region ?max_uops ?backend ?state ~image ~lanes ~entry () =
   | Ok r -> r
   | Error d -> raise (Diag.Error d)
 
+(* Each region copies [state], which is the same state as a fresh load. *)
 let translate_all ?max_uops ?backend ~image ~lanes () =
+  let mem = Memory.create () in
+  Image.load_memory image mem;
+  let state = Sem.create_ctx mem in
   List.map
     (fun (entry, label) ->
-      (entry, label, translate_region ?max_uops ?backend ~image ~lanes ~entry ()))
+      ( entry,
+        label,
+        translate_region ?max_uops ?backend ~state ~image ~lanes ~entry () ))
     image.Image.region_entries

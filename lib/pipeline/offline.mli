@@ -39,4 +39,9 @@ val translate_region :
 val translate_all :
   ?max_uops:int -> ?backend:Backend.t -> image:Image.t -> lanes:int -> unit ->
   (int * string * Translator.result) list
-(** Translate every region entry of the image. *)
+(** Translate every region entry of the image, in
+    [image.region_entries] order. The image's initial memory is loaded
+    once; each region observes its own copy of that pristine memory with
+    zeroed registers and initial flags, the same state as
+    {!translate_region} without [state]. Raises {!Diag.Error} like
+    {!translate_region}. *)

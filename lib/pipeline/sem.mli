@@ -110,8 +110,10 @@ val last_effect : ctx -> effect
     the immutable record (for traces and the translator's event feed). *)
 
 val step_scalar : ctx -> pc:int -> Insn.exec -> outcome * effect
-(** [exec_scalar] plus {!last_effect}: the original allocating API, kept
-    for callers that want a persistent effect value. *)
+(** [exec_scalar] plus {!last_effect}: the allocating convenience form,
+    for tests and the benchmark's event recording. Hot loops
+    ({!Offline}, {!Cpu}) call {!exec_scalar} and read the scratch fields
+    instead. *)
 
 val step_vector : ctx -> Vinsn.exec -> effect
 (** [exec_vector] plus {!last_effect}. *)

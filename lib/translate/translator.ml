@@ -69,7 +69,23 @@ type fold_src = {
   mutable f_sound : bool;
 }
 
-type verify_state = { pattern : Event.t array; mutable next : int }
+(* Verify-phase recorder of one pattern slot: where the slot's load
+   pushes its observed value and effective address. [Unresolved] until
+   the slot's load is first observed; then the pc's value stream and
+   [fold_src] are looked up once ([Unrecorded] when the first iteration
+   recorded no stream for it). Sound because neither [values] nor
+   [fold_srcs] gains or replaces an entry for a recorded pc during
+   Verify. *)
+type recorder =
+  | Unresolved
+  | Unrecorded
+  | Recorded of { stream : int Vec.t; src : fold_src }
+
+type verify_state = {
+  pattern : Event.t array;
+  recs : recorder array;  (* parallel to [pattern] *)
+  mutable next : int;
+}
 
 type phase = Build | Verify of verify_state
 
@@ -183,32 +199,35 @@ let record_value t pc v =
 let record_load_base t pc addr =
   if not (Hashtbl.mem t.load_bases pc) then Hashtbl.add t.load_bases pc addr
 
+let fold_src t pc ~esize ~signed =
+  match Hashtbl.find_opt t.fold_srcs pc with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          f_bytes = Esize.bytes esize;
+          f_signed = signed;
+          f_addrs = Vec.create ();
+          f_sound = true;
+        }
+      in
+      Hashtbl.replace t.fold_srcs pc s;
+      s
+
 (* Reconstruct the load's effective address from the register shadow and
-   append it to the per-pc stream. Mirrors [Sem.mem_addr]; a load whose
+   append it to the load's stream. Mirrors [Sem.mem_addr]; a load whose
    index register was never defined inside the region (no shadow) makes
    the stream unsound for constant folding. *)
-let record_load_addr t pc ~esize ~signed ~base ~index ~shift =
-  let src =
-    match Hashtbl.find_opt t.fold_srcs pc with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            f_bytes = Esize.bytes esize;
-            f_signed = signed;
-            f_addrs = Vec.create ();
-            f_sound = true;
-          }
-        in
-        Hashtbl.replace t.fold_srcs pc s;
-        s
-  in
+let push_load_addr t src ~base ~index ~shift =
   match (base, index) with
   | Insn.Sym a, Insn.Reg r when t.shadow_ok.(Reg.index r) ->
       Vec.push src.f_addrs
         (Word.add a (Word.shl t.shadow.(Reg.index r) shift))
   | Insn.Sym a, Insn.Imm v -> Vec.push src.f_addrs (Word.add a (Word.shl v shift))
   | (Insn.Sym _ | Insn.Breg _), _ -> src.f_sound <- false
+
+let record_load_addr t pc ~esize ~signed ~base ~index ~shift =
+  push_load_addr t (fold_src t pc ~esize ~signed) ~base ~index ~shift
 
 (* Track concrete register values alongside the abstract translation
    state. Called after the build/verify step for each event, so a load
@@ -710,7 +729,13 @@ let build_branch t (ev : Event.t) ~cond ~target =
         in
         let pattern = Array.sub events start (Array.length events - start) in
         t.iterations <- 1;
-        t.phase <- Verify { pattern; next = 0 }
+        t.phase <-
+          Verify
+            {
+              pattern;
+              recs = Array.make (Array.length pattern) Unresolved;
+              next = 0;
+            }
       end
 
 let build_step t (ev : Event.t) =
@@ -774,6 +799,19 @@ let build_step t (ev : Event.t) =
 
 (* --- Verify phase: later iterations must repeat the first --- *)
 
+(* The recorder of the current pattern slot, resolved on first use. *)
+let slot_recorder t v pc ~esize ~signed =
+  match v.recs.(v.next) with
+  | Unresolved ->
+      let r =
+        match Hashtbl.find_opt t.values pc with
+        | Some stream -> Recorded { stream; src = fold_src t pc ~esize ~signed }
+        | None -> Unrecorded
+      in
+      v.recs.(v.next) <- r;
+      r
+  | (Unrecorded | Recorded _) as r -> r
+
 let verify_step t (v : verify_state) (ev : Event.t) =
   match ev.insn with
   | Insn.Ret ->
@@ -781,14 +819,21 @@ let verify_step t (v : verify_state) (ev : Event.t) =
       else fail t (Abort.Inconsistent_iteration "return mid-iteration")
   | _ ->
       let expected = v.pattern.(v.next) in
-      if ev.pc = expected.Event.pc && Insn.equal_exec ev.insn expected.Event.insn
+      (* A real stream retires the image's own insn values, so the
+         physical test usually decides; a distinct copy falls through to
+         the structural one. *)
+      if
+        ev.pc = expected.Event.pc
+        && (ev.insn == expected.Event.insn
+           || Insn.equal_exec ev.insn expected.Event.insn)
       then begin
         (match (ev.insn, ev.value) with
-        | Insn.Ld { esize; signed; base; index; shift; _ }, Some value ->
-            if Hashtbl.mem t.values ev.pc then begin
-              record_value t ev.pc value;
-              record_load_addr t ev.pc ~esize ~signed ~base ~index ~shift
-            end
+        | Insn.Ld { esize; signed; base; index; shift; _ }, Some value -> (
+            match slot_recorder t v ev.pc ~esize ~signed with
+            | Recorded { stream; src } ->
+                Vec.push stream value;
+                push_load_addr t src ~base ~index ~shift
+            | Unresolved | Unrecorded -> ())
         | _, _ -> ());
         v.next <- v.next + 1;
         if v.next = Array.length v.pattern then begin

@@ -110,8 +110,8 @@ let fft_data ~count =
     Data.make ~name:"ai" ~esize:Esize.Word (words count (fun i -> 5 - (i mod 4)));
   ]
 
-(* Build a standalone region from raw items and translate it offline. *)
-let translate_items ?(lanes = 4) ?(max_uops = 64) ?backend ~data items =
+(* Build a standalone region [f] from raw items: its image and entry. *)
+let region_image ~data items =
   let open Build in
   let prog =
     Liquid_prog.Program.make ~name:"t"
@@ -127,6 +127,11 @@ let translate_items ?(lanes = 4) ?(max_uops = 64) ?backend ~data items =
     | Some e -> e
     | None -> assert false
   in
+  (image, entry)
+
+(* Build a standalone region from raw items and translate it offline. *)
+let translate_items ?(lanes = 4) ?(max_uops = 64) ?backend ~data items =
+  let image, entry = region_image ~data items in
   Liquid_pipeline.Offline.translate_region ~max_uops ?backend ~image ~lanes
     ~entry ()
 

@@ -289,6 +289,32 @@ let test_offline_translate_all () =
       check "width" 8 u.Ucode.width
   | _ -> Alcotest.fail "expected one translated region"
 
+(* [translate_all] loads the image once and hands each region a copy;
+   every region must see the same state as a fresh per-region load. *)
+let test_offline_translate_all_loads_once () =
+  List.iter
+    (fun (w : Liquid_workloads.Workload.t) ->
+      let image =
+        Image.of_program (Codegen.liquid w.Liquid_workloads.Workload.program)
+      in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun lanes ->
+              List.iter
+                (fun (entry, label, result) ->
+                  check_bool
+                    (Printf.sprintf "%s %s %s/%d"
+                       w.Liquid_workloads.Workload.name label
+                       (Backend.name_of backend) lanes)
+                    true
+                    (Offline.translate_region ~backend ~image ~lanes ~entry ()
+                    = result))
+                (Offline.translate_all ~backend ~image ~lanes ()))
+            [ 2; 4; 8; 16 ])
+        Backend.all)
+    (Liquid_workloads.Workload.all ())
+
 let tests =
   [
     Alcotest.test_case "cycles >= instructions" `Quick test_cycles_at_least_insns;
@@ -312,6 +338,8 @@ let tests =
     Alcotest.test_case "native binary on scalar machine" `Quick
       test_native_on_scalar_machine_faults;
     Alcotest.test_case "offline translate all" `Quick test_offline_translate_all;
+    Alcotest.test_case "offline translate all loads once" `Quick
+      test_offline_translate_all_loads_once;
   ]
 
 (* --- asynchronous interrupts (context switches) --- *)

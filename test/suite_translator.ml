@@ -654,6 +654,98 @@ let test_static_insns_counts_first_iteration () =
   check "one static insn" 1 (Translator.static_insns tr);
   check "one dynamic insn" 1 (Translator.observed tr)
 
+(* --- Verify phase: physical fast path and structural fallback --- *)
+
+(* The retirement stream of one call of the region at [entry], from the
+   image's initial memory. *)
+let record_stream (image : Image.t) entry =
+  let module Sem = Liquid_pipeline.Sem in
+  let mem = Liquid_machine.Memory.create () in
+  Image.load_memory image mem;
+  let ctx = Sem.create_ctx mem in
+  let rec go pc acc =
+    match image.Image.code.(pc) with
+    | Minsn.V _ -> Alcotest.fail "vector instruction inside a region"
+    | Minsn.S insn -> (
+        let outcome, eff = Sem.step_scalar ctx ~pc insn in
+        let acc = Event.make ~pc ?value:eff.Sem.value insn :: acc in
+        match outcome with
+        | Sem.Next -> go (pc + 1) acc
+        | Sem.Jump t -> go t acc
+        | Sem.Return | Sem.Stop | Sem.Call _ -> Array.of_list (List.rev acc))
+  in
+  go entry []
+
+let replay ~backend stream =
+  let tr = Translator.create (Translator.default_config ~backend ~lanes:4 ()) in
+  Array.iter (Translator.feed tr) stream;
+  Translator.finish tr
+
+(* From the second iteration on, the events carry decoded copies of the
+   image's insns: structurally equal but physically distinct from the
+   pattern's, so they miss the verify phase's physical test and must
+   take the structural one with the same outcome. A changed insn at the
+   same pc must still abort. Both regions need the verify-phase value
+   and address recordings: the mask folds into a guarded constant and
+   the offset stream is recovered as a permutation. *)
+let test_verify_structural_fallback () =
+  List.iter
+    (fun (name, backend, data, body) ->
+      let image, entry = region_image ~data (loop_shell body) in
+      let stream = record_stream image entry in
+      (* The loop body starts with a load: find its second instance. *)
+      let top =
+        Option.get
+          (Array.find_index
+             (fun (ev : Event.t) ->
+               match ev.insn with Insn.Ld _ -> true | _ -> false)
+             stream)
+      in
+      let second =
+        let rec find i =
+          if stream.(i).Event.pc = stream.(top).Event.pc then i else find (i + 1)
+        in
+        find (top + 1)
+      in
+      let decoded = Encode.decode (Encode.encode image.Image.code) in
+      let copy =
+        Array.mapi
+          (fun i (ev : Event.t) ->
+            if i < second then ev
+            else
+              match decoded.(ev.pc) with
+              | Minsn.S insn -> { ev with Event.insn }
+              | Minsn.V _ -> Alcotest.fail "vector instruction inside a region")
+          stream
+      in
+      check_bool (name ^ ": distinct copy") true
+        (copy.(second).Event.insn != stream.(top).Event.insn);
+      let original = replay ~backend stream in
+      (match original with
+      | Translator.Translated _ -> ()
+      | Translator.Aborted r ->
+          Alcotest.failf "%s: aborted: %s" name (Abort.to_string r));
+      check_bool (name ^ ": same result") true (replay ~backend copy = original);
+      let diverged = Array.copy copy in
+      (match copy.(second).Event.insn with
+      | Insn.Ld l ->
+          diverged.(second) <-
+            {
+              copy.(second) with
+              Event.insn = Insn.Ld { l with signed = not l.signed };
+            }
+      | _ -> assert false);
+      match replay ~backend diverged with
+      | Translator.Aborted
+          (Abort.Inconsistent_iteration "instruction stream diverged") -> ()
+      | Translator.Aborted r ->
+          Alcotest.failf "%s: wrong abort: %s" name (Abort.to_string r)
+      | Translator.Translated _ -> Alcotest.failf "%s: should not translate" name)
+    [
+      ("mask", Backend.fixed, mask_data, masked_body);
+      ("pairswap", Backend.vla, perm_data Perm.pairswap, permuted_load_body);
+    ]
+
 let tests =
   [
     Alcotest.test_case "basic loop shape" `Quick test_basic_loop_shape;
@@ -707,6 +799,8 @@ let tests =
       test_iteration_divergence_aborts;
     Alcotest.test_case "static vs dynamic counts" `Quick
       test_static_insns_counts_first_iteration;
+    Alcotest.test_case "verify: structural fallback" `Quick
+      test_verify_structural_fallback;
   ]
 
 (* --- additional edge cases --- *)
