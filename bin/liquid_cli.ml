@@ -528,19 +528,18 @@ let hwmodel_cmd =
       & info [ "b"; "buffer" ] ~docv:"N" ~doc:"Microcode buffer entries.")
   in
   let target_arg =
-    let module H = Liquid_hwmodel.Hwmodel in
+    let module B = Liquid_translate.Backend in
     let target_conv =
       Arg.conv
-        ( (function
-            | "fixed" -> Ok H.Fixed_width
-            | "vla" -> Ok H.Vla
-            | "rvv" -> Ok H.Rvv
-            | _ -> Error (`Msg "expected fixed, vla or rvv")),
-          fun ppf t -> Format.pp_print_string ppf (H.target_name t) )
+        ( (fun s ->
+            match B.of_string s with
+            | Some b -> Ok (B.kind_of b)
+            | None -> Error (`Msg "expected fixed, vla or rvv")),
+          fun ppf k -> B.pp ppf (B.of_kind k) )
     in
     Arg.(
       value
-      & opt target_conv H.Fixed_width
+      & opt target_conv B.Fixed
       & info [ "target" ] ~docv:"TARGET"
           ~doc:
             "Translation target the hardware emits for: $(b,fixed), \

@@ -10,22 +10,19 @@ module Stats = Liquid_machine.Stats
 
 let table2 () =
   List.concat_map
-    (fun target ->
+    (fun backend ->
+      let target = Backend.kind_of backend in
       List.map
         (fun lanes ->
           (* RVV rows are provisioned at the group factor the translator
              can actually reach at that base width: LMUL is bounded by
              the 16-lane maximum vector length, so a narrow datapath
              grades a high group factor and a 16-wide one none. *)
-          let lmul =
-            match target with
-            | Hwmodel.Rvv -> max 1 (16 / lanes)
-            | Hwmodel.Fixed_width | Hwmodel.Vla -> 1
-          in
+          let lmul = if target = Backend.Rvv then max 1 (16 / lanes) else 1 in
           Hwmodel.estimate
             { Hwmodel.default_params with Hwmodel.lanes; Hwmodel.target; Hwmodel.lmul })
         [ 2; 4; 8; 16 ])
-    [ Hwmodel.Fixed_width; Hwmodel.Vla; Hwmodel.Rvv ]
+    Backend.all
 
 let pp_table2 ppf reports =
   Format.fprintf ppf
@@ -36,12 +33,7 @@ let pp_table2 ppf reports =
   List.iter
     (fun (r : Hwmodel.report) ->
       Format.fprintf ppf "%-20s | %2d gates   | %.2f ns (%4.0f MHz) | %7d cells | %.3f mm^2@ "
-        (Printf.sprintf "%d-wide %sTranslator" r.Hwmodel.params.Hwmodel.lanes
-           (match r.Hwmodel.params.Hwmodel.target with
-           | Hwmodel.Fixed_width -> ""
-           | Hwmodel.Vla -> "VLA "
-           | Hwmodel.Rvv ->
-               Printf.sprintf "RVV m%d " r.Hwmodel.params.Hwmodel.lmul))
+        (Hwmodel.label r)
         r.Hwmodel.crit_path_gates r.Hwmodel.crit_path_ns r.Hwmodel.freq_mhz
         r.Hwmodel.total_cells r.Hwmodel.area_mm2)
     reports;

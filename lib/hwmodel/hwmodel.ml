@@ -1,12 +1,10 @@
-type target = Fixed_width | Vla | Rvv
-
-let target_name = function Fixed_width -> "fixed" | Vla -> "vla" | Rvv -> "rvv"
+open Liquid_translate.Backend
 
 type params = {
   lanes : int;
   registers : int;
   buffer_entries : int;
-  target : target;
+  target : kind;
   lmul : int;
 }
 
@@ -15,7 +13,7 @@ let default_params =
     lanes = 8;
     registers = 16;
     buffer_entries = 64;
-    target = Fixed_width;
+    target = Fixed;
     lmul = 1;
   }
 
@@ -104,7 +102,7 @@ let estimate params =
   let eff_lanes =
     match params.target with
     | Rvv -> params.lanes * params.lmul
-    | Fixed_width | Vla -> params.lanes
+    | Fixed | Vla -> params.lanes
   in
   let decoder_cells = decoder_cells_const in
   let legality_cells = legality_cells_const in
@@ -115,7 +113,7 @@ let estimate params =
   let opgen_cells =
     opgen_cells_const
     + (match params.target with
-      | Fixed_width -> 0
+      | Fixed -> 0
       | Vla -> vla_opgen_extra
       | Rvv ->
           rvv_opgen_extra
@@ -127,7 +125,7 @@ let estimate params =
   in
   let pred_cells =
     match params.target with
-    | Fixed_width -> 0
+    | Fixed -> 0
     | Vla ->
         vla_whilelt_cells
         + vla_pred_count
@@ -137,7 +135,7 @@ let estimate params =
   in
   let tbl_cells =
     match params.target with
-    | Fixed_width -> 0
+    | Fixed -> 0
     | Vla -> vla_tbl_store_cells + (vla_tbl_adder_per_lane * params.lanes)
     | Rvv -> vla_tbl_store_cells + (vla_tbl_adder_per_lane * eff_lanes)
   in
@@ -154,7 +152,7 @@ let estimate params =
   let crit_path_gates =
     5 + 8 + log2_ceil params.lanes
     + (match params.target with
-      | Fixed_width -> 0
+      | Fixed -> 0
       | Vla -> 1
       | Rvv -> 1 + log2_ceil params.lmul)
   in
@@ -175,13 +173,14 @@ let estimate params =
     area_mm2 = float_of_int total_cells *. cell_area_mm2;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%d-wide %sTranslator | %d gates | %.2f ns (%.0f MHz) | %d cells | %.3f \
-     mm^2"
-    r.params.lanes
+let label r =
+  Printf.sprintf "%d-wide %sTranslator" r.params.lanes
     (match r.params.target with
-    | Fixed_width -> ""
+    | Fixed -> ""
     | Vla -> "VLA "
     | Rvv -> Printf.sprintf "RVV m%d " r.params.lmul)
-    r.crit_path_gates r.crit_path_ns r.freq_mhz r.total_cells r.area_mm2
+
+let pp_report ppf r =
+  Format.fprintf ppf "%s | %d gates | %.2f ns (%.0f MHz) | %d cells | %.3f mm^2"
+    (label r) r.crit_path_gates r.crit_path_ns r.freq_mhz r.total_cells
+    r.area_mm2

@@ -24,32 +24,24 @@
     is derived as the residual of the published total, since the
     component figures quoted in the paper's prose slightly overlap. *)
 
-type target =
-  | Fixed_width  (** the paper's Neon-like fixed-width target *)
-  | Vla
-      (** the vector-length-agnostic predicated target: adds a whilelt
-          comparator, a predicate file, a wider opcode generator and the
-          table-lookup permutation unit — costs not in the paper, scaled
-          from the same cell library *)
-  | Rvv
-      (** the RVV-style stripmining target: adds a vsetvl grant unit
-          (comparator + clamp feeding a single [vl] CSR instead of a
-          predicate file), vl-governance in the opcode generator, the
-          LMUL specifier-regroup muxes when register grouping is
-          configured, and the shared table-lookup permutation unit sized
-          at the grouped width — costs not in the paper, scaled from the
-          same cell library *)
-
-val target_name : target -> string
-(** ["fixed"], ["vla"] or ["rvv"] (the CLI spelling). *)
-
 type params = {
   lanes : int;  (** accelerator vector width *)
   registers : int;  (** architectural integer registers *)
   buffer_entries : int;  (** microcode buffer capacity (instructions) *)
-  target : target;  (** translation target the hardware emits for *)
+  target : Liquid_translate.Backend.kind;
+      (** translation target the hardware emits for: [Fixed], the
+          paper's Neon-like fixed-width target; [Vla], which adds a
+          whilelt comparator, a predicate file, a wider opcode generator
+          and the table-lookup permutation unit; or [Rvv], which adds a
+          vsetvl grant unit (comparator + clamp feeding a single [vl]
+          CSR instead of a predicate file), vl-governance in the opcode
+          generator, the LMUL specifier-regroup muxes when register
+          grouping is configured, and the shared table-lookup
+          permutation unit sized at the grouped width. The [Vla] and
+          [Rvv] costs are not in the paper; they are scaled from the
+          same cell library *)
   lmul : int;
-      (** register-group factor provisioned for the {!Rvv} target: the
+      (** register-group factor provisioned for the [Rvv] target: the
           previous-value state, table-lookup datapath and regroup muxes
           are sized for operations covering [lanes * lmul] elements.
           Ignored (keep 1) for the other targets *)
@@ -68,12 +60,12 @@ type report = {
   buffer_cells : int;
   pred_cells : int;
       (** remainder-mechanism state: whilelt comparator + predicate file
-          for {!Vla}, vsetvl grant unit + [vl] CSR for {!Rvv}; 0 for
-          {!Fixed_width} *)
+          for [Vla], vsetvl grant unit + [vl] CSR for [Rvv]; 0 for
+          [Fixed] *)
   tbl_cells : int;
       (** table-lookup permutation unit — pattern store plus per-lane
-          index adders for recovered permutations; 0 for {!Fixed_width},
-          sized at the grouped width for {!Rvv}. Off the critical path:
+          index adders for recovered permutations; 0 for [Fixed],
+          sized at the grouped width for [Rvv]. Off the critical path:
           the index table is built once per region call, not per
           emitted uop *)
   total_cells : int;
@@ -84,6 +76,10 @@ type report = {
 }
 
 val estimate : params -> report
+
+val label : report -> string
+(** The row's description column, e.g. ["8-wide VLA Translator"] or
+    ["4-wide RVV m4 Translator"]. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One row in the format of the paper's Table 2. *)

@@ -35,11 +35,14 @@
    the golden suite pins must come out bit-identical to the step-by-step
    engine. The equivalences this file relies on:
 
-   - Blocks only run while no translator session is live (the
-     dispatcher in [Cpu] guarantees it), so the scratch effect fields
-     skipped by the pre-resolved kernels are unobservable, and
-     interrupt-epoch catch-up by division in [Cpu.interrupt_check]
-     fires at the same cycle it would have under per-step checking.
+   - The scratch effect fields the pre-resolved kernels skip are
+     unobservable: outside a translator session nothing reads them, a
+     failed session ignores them, and a verifying session gets its
+     values from [exec_observed]'s capture instead. While a session is
+     live the dispatcher in [Cpu] runs no blocks at all when interrupts
+     are configured, so interrupt-epoch catch-up by division in
+     [Cpu.interrupt_check] fires at the same cycle it would have under
+     per-step checking.
    - Within a block, consecutive fetches of one icache line cannot be
      separated by any other access of that cache, so one real
      {!Liquid_machine.Cache.access} per line run plus
@@ -810,23 +813,15 @@ let repair_block eng b k =
   eng.out_pending <- None;
   eng.out_pc <- b.b_pc + k
 
-let exec_block eng b =
-  let ctx = eng.ctx and stats = eng.stats in
-  entry_stall eng eng.out_pending b;
-  let thunks = b.b_thunks in
-  let nu = Array.length thunks in
-  let i = ref 0 in
-  (try
-     while !i < nu do
-       (Array.unsafe_get thunks !i) ();
-       incr i
-     done
-   with e ->
-     repair_block eng b !i;
-     raise e);
+(* Everything a block owes once its micro-ops have run: the terminator's
+   fetch probe, the batched stat delta, the hazard it leaves behind and
+   the terminator's control transfer. *)
+let[@inline] retire_block eng b =
+  let nu = Array.length b.b_thunks in
   (if b.b_n > nu then
      let la = Array.unsafe_get b.b_newline nu in
      if la >= 0 then icache_access eng la);
+  let stats = eng.stats in
   stats.Stats.fetches <- stats.Stats.fetches + b.b_n;
   stats.Stats.scalar_insns <- stats.Stats.scalar_insns + b.b_scalar;
   stats.Stats.vector_insns <- stats.Stats.vector_insns + b.b_vector;
@@ -846,9 +841,24 @@ let exec_block eng b =
       (* [step] consults the predictor only on the taken path (a
          not-taken branch retires as [Next], bypassing [record_branch]);
          mirror that exactly or the lookup/mispredict tallies drift. *)
-      let taken = Cond.holds cond ctx.Sem.flags in
+      let taken = Cond.holds cond eng.ctx.Sem.flags in
       if taken then record_branch eng ~key ~taken:true;
       eng.out_pc <- (if taken then target else fall)
+
+let exec_block eng b =
+  entry_stall eng eng.out_pending b;
+  let thunks = b.b_thunks in
+  let nu = Array.length thunks in
+  let i = ref 0 in
+  (try
+     while !i < nu do
+       (Array.unsafe_get thunks !i) ();
+       incr i
+     done
+   with e ->
+     repair_block eng b !i;
+     raise e);
+  retire_block eng b
 
 (* --- superblocks --- *)
 
@@ -1333,7 +1343,7 @@ let next_block eng b =
   | Some nb when eng.out_retired + nb.b_n <= eng.fuel -> next
   | Some _ | None -> None
 
-let try_exec eng ~pc ~retired ~pending =
+let try_exec eng ~pc ~retired ~pending ~traces =
   if pc < 0 || pc >= Array.length eng.slots then false
   else
     match slot_at eng pc with
@@ -1346,12 +1356,97 @@ let try_exec eng ~pc ~retired ~pending =
           eng.out_pc <- pc;
           let rec go b =
             exec_block eng b;
-            super_check eng b;
+            if traces then super_check eng b;
             match next_block eng b with Some nb -> go nb | None -> ()
           in
           go b;
           true
         end
+
+(* --- observed loop bodies (live translator sessions) --- *)
+
+(* A verifying translator session's loop body: the ordinary block at the
+   loop top, which is exactly the observed iteration (a straight-line
+   run ending in its back-edge), plus a value capture per slot. [o_cap]
+   says where slot [k]'s retired value lives once its thunk has run: a
+   destination register index ([Sem.exec_scalar] records exactly the
+   value it writes), [cap_effect] for a predicated instruction (its
+   thunk runs the shared executor, whose scratch effect holds the value
+   or [Sem.no_value]), or [cap_none] for a store or compare. *)
+type observed = {
+  o_block : block;
+  o_cap : int array;  (* per uop slot *)
+  o_values : int array;  (* per retired instruction, back-edge included *)
+}
+
+let cap_none = -1
+let cap_effect = -2
+
+let observe_loop eng (pattern : Event.t array) =
+  let n = Array.length pattern in
+  if n = 0 then None
+  else
+    let top = pattern.(0).Event.pc in
+    let code = eng.image.Image.code in
+    let same k (ev : Event.t) =
+      ev.Event.pc = top + k
+      && top + k < Array.length code
+      &&
+      match code.(top + k) with
+      | Minsn.S insn -> insn == ev.Event.insn || Insn.equal_exec insn ev.Event.insn
+      | Minsn.V _ -> false
+    in
+    let rec all k = k >= n || (same k pattern.(k) && all (k + 1)) in
+    if not (all 0) then None
+    else
+      match slot_at eng top with
+      | S_block ({ b_term = T_branch { target; _ }; _ } as b)
+        when target = top && b.b_n = n ->
+          let cap =
+            Array.map
+              (function
+                | Smov_i { dst; _ } | Smov_r { dst; _ } | Sdp_i { dst; _ }
+                | Sdp_r { dst; _ } | Sld { dst; _ } ->
+                    dst
+                | Spred _ -> cap_effect
+                | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Sgov _ -> cap_none)
+              b.b_uops
+          in
+          Some
+            { o_block = b; o_cap = cap; o_values = Array.make n Sem.no_value }
+      | S_block _ | S_noblock | S_unknown -> None
+
+let observed_values ob = ob.o_values
+
+let exec_observed eng ob ~retired ~pending =
+  let b = ob.o_block in
+  if retired + b.b_n > eng.fuel then false
+  else begin
+    eng.out_retired <- retired;
+    eng.out_pending <- pending;
+    eng.out_pc <- b.b_pc;
+    entry_stall eng pending b;
+    let ctx = eng.ctx in
+    let regs = ctx.Sem.regs in
+    let thunks = b.b_thunks and cap = ob.o_cap and values = ob.o_values in
+    let nu = Array.length thunks in
+    let i = ref 0 in
+    (try
+       while !i < nu do
+         (Array.unsafe_get thunks !i) ();
+         let d = Array.unsafe_get cap !i in
+         Array.unsafe_set values !i
+           (if d >= 0 then Array.unsafe_get regs d
+            else if d = cap_effect then ctx.Sem.e_value
+            else Sem.no_value);
+         incr i
+       done
+     with e ->
+       repair_block eng b !i;
+       raise e);
+    retire_block eng b;
+    true
+  end
 
 (* --- microcode replay --- *)
 

@@ -26,12 +26,17 @@
     block path. Traces follow only unconditional edges, so the guard is
     the sole conditional inside a trace.
 
+    A live translator session in its Verify phase also runs here: each
+    later loop iteration executes the loop-top block's closures plus a
+    per-slot value capture ({!exec_observed}), and the captured values
+    go to {!Liquid_translate.Translator.feed_iteration} in one batch.
+
     The engine is an execution strategy, not a semantics change: every
     architectural value and every counter is bit-identical to the
     step-by-step engine. {!Cpu} only dispatches here when fidelity
-    permits — no live translator session, no trace consumer, no fault
-    hooks, and enough fuel for the whole block — and falls back to
-    [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
+    permits — no trace consumer, no fault hooks, no interrupts while a
+    session is live, and enough fuel for the whole block — and falls
+    back to [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
     the partial per-step accounting before re-raising, so escaping
     diagnostics also match. *)
 
@@ -88,7 +93,8 @@ val create :
     it off the engine never forms or runs a trace and behaves exactly
     like the PR-4 block engine. *)
 
-val try_exec : t -> pc:int -> retired:int -> pending:Reg.t option -> bool
+val try_exec :
+  t -> pc:int -> retired:int -> pending:Reg.t option -> traces:bool -> bool
 (** Execute the block starting at [pc] (compiling it on first visit),
     chaining through unconditional successors. [retired] and [pending]
     (the load-use hazard register) are the dispatcher's current values;
@@ -96,13 +102,45 @@ val try_exec : t -> pc:int -> retired:int -> pending:Reg.t option -> bool
     {!out_pending}. [false] means no block starts here (region call,
     return, halt, wild pc, vector code without an accelerator) or the
     fuel budget could expire inside the block — the caller steps
-    faithfully. If a micro-op raises, partial accounting is repaired and
-    the out-fields are valid for diagnostics before the exception
-    propagates. *)
+    faithfully. With [traces = false] the blocks neither heat, form nor
+    enter trace superblocks (the plain block engine). If a micro-op
+    raises, partial accounting is repaired and the out-fields are valid
+    for diagnostics before the exception propagates. *)
 
 val out_pc : t -> int
 val out_retired : t -> int
 val out_pending : t -> Reg.t option
+
+(** {2 Observed loop bodies}
+
+    A live translator session in its Verify phase only needs the values
+    each later loop iteration produces. Those iterations run here as the
+    ordinary block closures of the loop body plus a value capture per
+    slot, instead of instruction by instruction through [step]. *)
+
+type observed
+(** A verifying session's loop body, compiled. *)
+
+val observe_loop : t -> Event.t array -> observed option
+(** Compile the body a session's {!Translator.iteration_pattern}
+    describes. [None] unless the pattern's pcs and instructions are
+    exactly the image's straight-line run from the loop top through a
+    conditional back-edge to that top (the caller then steps). *)
+
+val exec_observed :
+  t -> observed -> retired:int -> pending:Reg.t option -> bool
+(** Run one whole iteration of the body, with the dispatcher's
+    [retired] and [pending] as in {!try_exec}, and capture the value of
+    every retired instruction into {!observed_values}. Neither heats,
+    forms nor enters a trace superblock. [false] (nothing executed) when
+    the fuel budget could expire inside the iteration. On [true] read
+    back the out-fields as after {!try_exec}. *)
+
+val observed_values : observed -> int array
+(** The last iteration's per-instruction values, in pattern order,
+    {!Event.no_value} where an instruction produced none — the argument
+    {!Translator.feed_iteration} takes. Overwritten by every
+    {!exec_observed}. *)
 
 type uresult =
   | U_done  (** the replay retired its [URet] *)

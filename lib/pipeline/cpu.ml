@@ -134,6 +134,8 @@ type run = {
   permutes_recovered : int;
   permutes_aborted : int;
   tbl_index_builds : int;
+  session_iters_compiled : int;
+  translation_latencies : int list;
 }
 
 type racc = {
@@ -143,11 +145,16 @@ type racc = {
   mutable outcome : region_outcome;
 }
 
+(* A verifying session's loop body in the block engine, compiled at the
+   first loop top the session reaches. *)
+type body = Body_unknown | Body_declined | Body of Blocks.observed
+
 type session = {
   tr : Translator.t;
   s_entry : int;
   s_start_cycle : int;
   s_start_depth : int;
+  mutable s_body : body;
 }
 
 type state = {
@@ -197,6 +204,10 @@ type state = {
       (* the translation-block engine; [None] when disabled by config or
          when fidelity demands stepping throughout (trace consumer or
          fault hooks attached) *)
+  mutable session_iters : int;
+      (* verify iterations run through the engine's observed bodies *)
+  mutable latencies_rev : int list;
+      (* [T_translation] latency of every completed translation *)
 }
 
 let charge st c = st.stats.Stats.cycles <- st.stats.Stats.cycles + c
@@ -329,6 +340,7 @@ let close_session st s =
       trace st
         (T_region { label = acc.r_label; event = `Translated u.Ucode.width });
       let ready = max st.stats.Stats.cycles (s.s_start_cycle + (work * cpi)) in
+      st.latencies_rev <- (ready - s.s_start_cycle) :: st.latencies_rev;
       trace st
         (T_translation
            {
@@ -349,24 +361,22 @@ let close_session st s =
         (if Diag.classify_abort reason = `Permanent then R_failed reason
          else R_untried)
 
-(* Feed only the session that was live before the current instruction:
-   the region branch-and-link that just opened a session is not part of
-   the region's own retirement stream. The destination value is read
-   from the context scratch effect; the [Some] box is only built while a
-   translation session is actually live. *)
 (* An untranslatable stand-in for a corrupted decode: a call inside a
    region has no Table 3 rule in any DFA state, so the session aborts
    whether it is building or verifying. *)
 let poison_insn = Insn.Bl { target = 0; region = false }
 
+(* Feed only the session that was live before the current instruction:
+   the region branch-and-link that just opened a session is not part of
+   the region's own retirement stream. The destination value is read
+   from the context scratch effect. Once the translator has failed it
+   ignores every event, so none is built; the fault hooks are still
+   consulted at the same [observed] count, which a failed session no
+   longer advances. *)
 let feed_session st session pc insn =
   match session with
   | None -> ()
   | Some s ->
-      let value =
-        let v = st.ctx.Sem.e_value in
-        if v = Sem.no_value then None else Some v
-      in
       let insn =
         match st.cfg.faults with
         | Some f
@@ -375,7 +385,12 @@ let feed_session st session pc insn =
             poison_insn
         | Some _ | None -> insn
       in
-      Translator.feed s.tr (Event.make ~pc ?value insn);
+      (if not (Translator.failed s.tr) then
+         let value =
+           let v = st.ctx.Sem.e_value in
+           if v = Sem.no_value then None else Some v
+         in
+         Translator.feed s.tr (Event.make ~pc ?value insn));
       match st.cfg.faults with
       | Some f -> (
           match
@@ -607,6 +622,7 @@ let region_call st ~pc ~target =
                        s_entry = target;
                        s_start_cycle = now;
                        s_start_depth = st.depth + 1;
+                       s_body = Body_unknown;
                      });
           false)
   | _ -> false)
@@ -782,6 +798,8 @@ let init_state config image =
       perm_recovered = 0;
       perm_aborted = 0;
       eng;
+      session_iters = 0;
+      latencies_rev = [];
     }
   in
   (st, mem, ctx)
@@ -849,16 +867,84 @@ let collect st mem ctx =
     permutes_recovered = st.perm_recovered;
     permutes_aborted = st.perm_aborted;
     tbl_index_builds = ctx.Sem.n_tbl_builds;
+    session_iters_compiled = st.session_iters;
+    translation_latencies = List.rev st.latencies_rev;
   }
+
+(* One block-engine dispatch at [st.pc]; [false] when the engine
+   declines and the caller must step. On an exception escaping the
+   engine, the out-fields carry the repaired per-step position; sync
+   them so [run_result] reports identical diagnostics. *)
+let dispatch_blocks st eng ~traces =
+  match
+    Blocks.try_exec eng ~pc:st.pc ~retired:st.retired ~pending:st.last_load_dst
+      ~traces
+  with
+  | true ->
+      st.pc <- Blocks.out_pc eng;
+      st.retired <- Blocks.out_retired eng;
+      st.last_load_dst <- Blocks.out_pending eng;
+      true
+  | false -> false
+  | exception e ->
+      st.pc <- Blocks.out_pc eng;
+      st.retired <- Blocks.out_retired eng;
+      raise e
+
+(* A live session at its loop top in the Verify phase: run the next
+   iteration as the loop body's block closures and hand the captured
+   values to the translator in one batch. [false] when the session is
+   elsewhere, its body is not a straight-line run ending in the
+   back-edge, or fuel could expire inside the iteration. *)
+let dispatch_session st eng s =
+  let top = Translator.iteration_top s.tr in
+  top >= 0 && top = st.pc
+  &&
+  let body =
+    match s.s_body with
+    | Body b -> Some b
+    | Body_declined -> None
+    | Body_unknown -> (
+        match Blocks.observe_loop eng (Translator.iteration_pattern s.tr) with
+        | Some b ->
+            s.s_body <- Body b;
+            Some b
+        | None ->
+            s.s_body <- Body_declined;
+            None)
+  in
+  match body with
+  | None -> false
+  | Some b -> (
+      match
+        Blocks.exec_observed eng b ~retired:st.retired
+          ~pending:st.last_load_dst
+      with
+      | true ->
+          st.pc <- Blocks.out_pc eng;
+          st.retired <- Blocks.out_retired eng;
+          st.last_load_dst <- Blocks.out_pending eng;
+          Translator.feed_iteration s.tr (Blocks.observed_values b);
+          st.session_iters <- st.session_iters + 1;
+          true
+      | false -> false
+      | exception e ->
+          st.pc <- Blocks.out_pc eng;
+          st.retired <- Blocks.out_retired eng;
+          raise e)
 
 (* The main loop. With the block engine on, every pc is first offered to
    the block cache; the engine declines (and we step faithfully) at
-   region calls, returns, halts, wild pcs and under fuel pressure. A
-   live translator session forces stepping so the session observes every
-   retired instruction — sessions open and close only inside [step], so
-   this check at dispatch granularity is exact. On an exception escaping
-   the engine, the out-fields carry the repaired per-step position; sync
-   them so [run_result] reports identical diagnostics. *)
+   region calls, returns, halts, wild pcs and under fuel pressure.
+   Sessions open and close only inside [step], so checking the session
+   at dispatch granularity is exact. A live session observes every
+   retired instruction: it steps through its Build iteration, the region
+   return and whatever else the engine declines, while its verified
+   iterations run through the loop body's closures with a value capture
+   ([dispatch_session]). A session whose translator has failed ignores
+   what it is fed, so the plain block engine (no trace superblocks,
+   which stepping would not have heated) runs until the region returns.
+   Interrupts force stepping for as long as a session is live. *)
 let exec_loop st =
   match st.eng with
   | None ->
@@ -868,21 +954,17 @@ let exec_loop st =
   | Some eng ->
       while not st.halted do
         match st.session with
-        | Some _ -> step st
-        | None -> (
-            match
-              Blocks.try_exec eng ~pc:st.pc ~retired:st.retired
-                ~pending:st.last_load_dst
-            with
-            | true ->
-                st.pc <- Blocks.out_pc eng;
-                st.retired <- Blocks.out_retired eng;
-                st.last_load_dst <- Blocks.out_pending eng
-            | false -> step st
-            | exception e ->
-                st.pc <- Blocks.out_pc eng;
-                st.retired <- Blocks.out_retired eng;
-                raise e)
+        | None -> if not (dispatch_blocks st eng ~traces:true) then step st
+        | Some s -> (
+            match st.cfg.interrupt_interval with
+            | Some _ ->
+                (* an interrupt aborts the session at a cycle only [step]
+                   checks *)
+                step st
+            | None ->
+                if Translator.failed s.tr then (
+                  if not (dispatch_blocks st eng ~traces:false) then step st)
+                else if not (dispatch_session st eng s) then step st)
       done
 
 let run ?(config = scalar_config) image =

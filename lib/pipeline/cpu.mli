@@ -118,7 +118,16 @@ type config = {
           escape hatch for debugging and for measuring the engine's own
           speedup. The engine silently self-disables when a trace
           observer or fault hooks are configured (those need per-step
-          fidelity). *)
+          fidelity). A live translator session does not force stepping:
+          once it verifies, each later loop iteration runs as the loop
+          body's block closures with a per-instruction value capture fed
+          to the translator in one batch, and a session whose translator
+          has failed runs the plain block engine until the region
+          returns. The session still steps its first (Build) iteration,
+          the region return, any body that is not a straight-line run
+          ending in its back-edge, an iteration the fuel budget might
+          not cover, and everything while [interrupt_interval] is set
+          (an interrupt aborts a session at an exact cycle). *)
   superblocks : bool;
       (** form trace superblocks on hot conditional back-edges and run
           steady-state loop iterations through them ({!Blocks}); default
@@ -126,8 +135,9 @@ type config = {
           plain block engine on every pinned counter — an escape hatch
           for debugging and for measuring the trace tier's own
           speedup. Inherits the block engine's self-disable conditions
-          (trace observer, fault hooks, live sessions, fuel
-          pressure). *)
+          (trace observer, fault hooks, fuel pressure); while a
+          translator session is live, no superblock is heated, formed
+          or entered. *)
 }
 
 val scalar_config : config
@@ -202,6 +212,14 @@ type run = {
   tbl_index_builds : int;
       (** [Tblidx] index-table materializations executed (once per
           region call and distinct pattern on the VLA target) *)
+  session_iters_compiled : int;
+      (** verify iterations of live translator sessions run through the
+          block engine's compiled loop body instead of [step] (0 when
+          the engine is off); telemetry, not a pinned counter *)
+  translation_latencies : int list;
+      (** the [latency] of every completed translation, in completion
+          order: the samples a trace observer receives as
+          [T_translation] events, available without one *)
 }
 
 val run : ?config:config -> Image.t -> run

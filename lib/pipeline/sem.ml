@@ -5,7 +5,7 @@ module Memory = Liquid_machine.Memory
 exception Sigill of string
 
 let max_lanes = Width.lanes Width.max
-let no_value = min_int
+let no_value = Liquid_translate.Event.no_value
 
 type ctx = {
   regs : int array;
@@ -173,7 +173,8 @@ let step_scalar ctx ~pc insn =
    instruction through one of these. Each kernel is the corresponding
    [exec_scalar] arm minus decode and scratch-effect recording — the
    scratch effect is only ever consumed by a live translator session,
-   and blocks never run while one is open. *)
+   and a session's verified iterations capture their values from the
+   destination registers instead. *)
 
 let[@inline] kernel_mov_imm ctx ~dst v = ctx.regs.(dst) <- v
 

@@ -14,7 +14,9 @@ exception Sigill of string
 
 val no_value : int
 (** Sentinel stored in {!ctx.e_value} when the last instruction wrote no
-    destination register. ([min_int], outside the 32-bit word domain.) *)
+    destination register: {!Liquid_translate.Event.no_value}, so a
+    scratch value passes to the translator's whole-iteration batches
+    unconverted. *)
 
 type ctx = {
   regs : int array;  (** 16 scalar registers *)
@@ -128,8 +130,8 @@ val step_vector : ctx -> Vinsn.exec -> effect
     immediate arrives already [Word]-normalized, and load/store
     addresses arrive fully computed. Semantically equivalent to
     [exec_scalar] on the same instruction; the scratch effect they skip
-    is only observable by a live translator session, under which the
-    block engine never runs. *)
+    is only observable by a live translator session, whose verified
+    iterations read the destination registers instead. *)
 
 val kernel_mov_imm : ctx -> dst:int -> int -> unit
 val kernel_mov_reg : ctx -> dst:int -> src:int -> unit
@@ -151,8 +153,9 @@ val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
     under the interpretive [exec_*]; the access scratch prefix
     ([e_nacc]/[acc_*]) is maintained exactly (the engine derives
     data-cache charges from it), while the [e_value]/[e_taken] scratch is
-    skipped — only a live translator session observes it, and the block
-    engine never runs under one. Deterministic faults (unsupported
+    skipped — only a live translator session observes it, and under
+    one the block engine runs only a verifying session's scalar loop
+    body or code a failed session ignores. Deterministic faults (unsupported
     permutation, mismatched constant vector) are compiled into thunks
     that raise {!Sigill} with the interpretive message on every
     execution. *)

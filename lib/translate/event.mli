@@ -21,5 +21,14 @@ val make : pc:int -> ?value:int -> Insn.exec -> t
 (** Build an event; omit [value] for instructions that write no
     destination register. *)
 
+val no_value : int
+(** The absent-value sentinel of value arrays ([min_int], outside the
+    32-bit word range every register value lies in): what a store,
+    compare, branch or predicated instruction whose condition failed
+    produces in {!Translator.feed_iteration}'s batches. *)
+
+val value_code : t -> int
+(** [value] with [None] as {!no_value}. *)
+
 val pp : Format.formatter -> t -> unit
 (** One event as [pc: insn = value], for translator traces. *)

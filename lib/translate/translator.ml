@@ -73,17 +73,26 @@ type fold_src = {
    pushes its observed value and effective address. [Unresolved] until
    the slot's load is first observed; then the pc's value stream and
    [fold_src] are looked up once ([Unrecorded] when the first iteration
-   recorded no stream for it). Sound because neither [values] nor
-   [fold_srcs] gains or replaces an entry for a recorded pc during
-   Verify. *)
+   recorded no stream for it, and for every slot that is not a load).
+   Sound because neither [values] nor [fold_srcs] gains or replaces an
+   entry for a recorded pc during Verify. *)
 type recorder =
   | Unresolved
   | Unrecorded
-  | Recorded of { stream : int Vec.t; src : fold_src }
+  | Recorded of {
+      stream : int Vec.t;
+      src : fold_src;
+      base : int Insn.base;
+      index : Insn.operand;
+      shift : int;
+    }
 
 type verify_state = {
   pattern : Event.t array;
   recs : recorder array;  (* parallel to [pattern] *)
+  dsts : int array;
+      (* parallel to [pattern]: the register each slot writes (the
+         shadow it updates), -1 for none *)
   mutable next : int;
 }
 
@@ -194,7 +203,7 @@ let record_value t pc v =
         Hashtbl.replace t.values pc s;
         s
   in
-  Vec.push stream v
+  Vec.push_int stream v
 
 let record_load_base t pc addr =
   if not (Hashtbl.mem t.load_bases pc) then Hashtbl.add t.load_bases pc addr
@@ -221,27 +230,32 @@ let fold_src t pc ~esize ~signed =
 let push_load_addr t src ~base ~index ~shift =
   match (base, index) with
   | Insn.Sym a, Insn.Reg r when t.shadow_ok.(Reg.index r) ->
-      Vec.push src.f_addrs
+      Vec.push_int src.f_addrs
         (Word.add a (Word.shl t.shadow.(Reg.index r) shift))
-  | Insn.Sym a, Insn.Imm v -> Vec.push src.f_addrs (Word.add a (Word.shl v shift))
+  | Insn.Sym a, Insn.Imm v ->
+      Vec.push_int src.f_addrs (Word.add a (Word.shl v shift))
   | (Insn.Sym _ | Insn.Breg _), _ -> src.f_sound <- false
 
 let record_load_addr t pc ~esize ~signed ~base ~index ~shift =
   push_load_addr t (fold_src t pc ~esize ~signed) ~base ~index ~shift
 
 (* Track concrete register values alongside the abstract translation
-   state. Called after the build/verify step for each event, so a load
+   state. Called after the build/verify work for each event, so a load
    that overwrites its own index register still resolves its address
-   from the pre-load value. *)
-let shadow_update t (ev : Event.t) =
-  match ev.insn with
-  | Insn.Mov { dst; _ } | Insn.Dp { dst; _ } | Insn.Ld { dst; _ } -> (
-      match ev.value with
-      | Some v ->
-          t.shadow.(Reg.index dst) <- v;
-          t.shadow_ok.(Reg.index dst) <- true
-      | None -> t.shadow_ok.(Reg.index dst) <- false)
-  | Insn.St _ | Insn.Cmp _ | Insn.B _ | Insn.Bl _ | Insn.Ret | Insn.Halt -> ()
+   from the pre-load value. [value] is {!Event.no_value} when the
+   instruction wrote nothing (a predicated move that did not fire). *)
+let shadow_set t d value =
+  if value = Event.no_value then Array.unsafe_set t.shadow_ok d false
+  else begin
+    Array.unsafe_set t.shadow d value;
+    Array.unsafe_set t.shadow_ok d true
+  end
+
+(* The register an instruction writes, as a shadow index; -1 for none. *)
+let shadow_dst (insn : Insn.exec) =
+  match insn with
+  | Insn.Mov { dst; _ } | Insn.Dp { dst; _ } | Insn.Ld { dst; _ } -> Reg.index dst
+  | Insn.St _ | Insn.Cmp _ | Insn.B _ | Insn.Bl _ | Insn.Ret | Insn.Halt -> -1
 
 let rstate t r = t.regs.(Reg.index r)
 let set_rstate t r s = t.regs.(Reg.index r) <- s
@@ -733,7 +747,12 @@ let build_branch t (ev : Event.t) ~cond ~target =
           Verify
             {
               pattern;
-              recs = Array.make (Array.length pattern) Unresolved;
+              recs =
+                Array.map
+                  (fun (e : Event.t) ->
+                    match e.insn with Insn.Ld _ -> Unresolved | _ -> Unrecorded)
+                  pattern;
+              dsts = Array.map (fun (e : Event.t) -> shadow_dst e.insn) pattern;
               next = 0;
             }
       end
@@ -799,61 +818,97 @@ let build_step t (ev : Event.t) =
 
 (* --- Verify phase: later iterations must repeat the first --- *)
 
-(* The recorder of the current pattern slot, resolved on first use. *)
-let slot_recorder t v pc ~esize ~signed =
-  match v.recs.(v.next) with
-  | Unresolved ->
-      let r =
+(* The recorder of load slot [k], resolved on first use. *)
+let resolve_recorder t v k =
+  let r =
+    match v.pattern.(k).Event.insn with
+    | Insn.Ld { esize; signed; base; index; shift; _ } -> (
+        let pc = v.pattern.(k).Event.pc in
         match Hashtbl.find_opt t.values pc with
-        | Some stream -> Recorded { stream; src = fold_src t pc ~esize ~signed }
-        | None -> Unrecorded
-      in
-      v.recs.(v.next) <- r;
-      r
-  | (Unrecorded | Recorded _) as r -> r
+        | Some stream ->
+            Recorded
+              { stream; src = fold_src t pc ~esize ~signed; base; index; shift }
+        | None -> Unrecorded)
+    | _ -> Unrecorded
+  in
+  v.recs.(k) <- r;
+  r
 
-let verify_step t (v : verify_state) (ev : Event.t) =
-  match ev.insn with
-  | Insn.Ret ->
-      if v.next = 0 then t.saw_ret <- true
-      else fail t (Abort.Inconsistent_iteration "return mid-iteration")
-  | _ ->
-      let expected = v.pattern.(v.next) in
-      (* A real stream retires the image's own insn values, so the
-         physical test usually decides; a distinct copy falls through to
-         the structural one. *)
-      if
-        ev.pc = expected.Event.pc
-        && (ev.insn == expected.Event.insn
-           || Insn.equal_exec ev.insn expected.Event.insn)
-      then begin
-        (match (ev.insn, ev.value) with
-        | Insn.Ld { esize; signed; base; index; shift; _ }, Some value -> (
-            match slot_recorder t v ev.pc ~esize ~signed with
-            | Recorded { stream; src } ->
-                Vec.push stream value;
-                push_load_addr t src ~base ~index ~shift
-            | Unresolved | Unrecorded -> ())
-        | _, _ -> ());
-        v.next <- v.next + 1;
-        if v.next = Array.length v.pattern then begin
-          v.next <- 0;
-          t.iterations <- t.iterations + 1
-        end
-      end
-      else fail t (Abort.Inconsistent_iteration "instruction stream diverged")
-
-let feed t ev =
-  if t.failure = None then begin
-    t.observed <- t.observed + 1;
-    if t.saw_ret then fail t (Abort.Illegal_insn "instruction after return")
-    else begin
-      (match t.phase with
-      | Build -> build_step t ev
-      | Verify v -> verify_step t v ev);
-      shadow_update t ev
-    end
+(* The work of one retired instruction that repeats its pattern slot:
+   push a load's value and effective address into the slot's recorder,
+   update the register shadow, and advance [observed], the slot cursor
+   and the iteration count. The single definition behind both the
+   per-event [feed] and the whole-iteration [feed_iteration], so the two
+   cannot drift. *)
+let verify_slot t v value =
+  let k = v.next in
+  t.observed <- t.observed + 1;
+  (if value <> Event.no_value then
+     match
+       match Array.unsafe_get v.recs k with
+       | Unresolved -> resolve_recorder t v k
+       | (Unrecorded | Recorded _) as r -> r
+     with
+     | Recorded { stream; src; base; index; shift } ->
+         Vec.push_int stream value;
+         push_load_addr t src ~base ~index ~shift
+     | Unresolved | Unrecorded -> ());
+  let d = Array.unsafe_get v.dsts k in
+  if d >= 0 then shadow_set t d value;
+  if k + 1 = Array.length v.dsts then begin
+    v.next <- 0;
+    t.iterations <- t.iterations + 1
   end
+  else v.next <- k + 1
+
+(* A real stream retires the image's own insn values, so the physical
+   test usually decides; a distinct copy falls through to the structural
+   one. *)
+let repeats (v : verify_state) (ev : Event.t) =
+  let expected = v.pattern.(v.next) in
+  ev.pc = expected.Event.pc
+  && (ev.insn == expected.Event.insn || Insn.equal_exec ev.insn expected.Event.insn)
+
+let feed t (ev : Event.t) =
+  if t.failure = None then
+    match t.phase with
+    | Verify v when (not t.saw_ret) && repeats v ev ->
+        verify_slot t v (Event.value_code ev)
+    | phase -> (
+        t.observed <- t.observed + 1;
+        if t.saw_ret then fail t (Abort.Illegal_insn "instruction after return")
+        else
+          match (phase, ev.insn) with
+          | Build, _ ->
+              build_step t ev;
+              let d = shadow_dst ev.insn in
+              if d >= 0 then shadow_set t d (Event.value_code ev)
+          | Verify v, Insn.Ret ->
+              if v.next = 0 then t.saw_ret <- true
+              else fail t (Abort.Inconsistent_iteration "return mid-iteration")
+          | Verify _, _ ->
+              fail t (Abort.Inconsistent_iteration "instruction stream diverged"))
+
+let failed t = t.failure <> None
+
+let iteration_top t =
+  match t.phase with
+  | Verify v when v.next = 0 && t.failure = None && not t.saw_ret ->
+      t.loop_top_pc
+  | Verify _ | Build -> -1
+
+let iteration_pattern t =
+  match t.phase with Verify v -> v.pattern | Build -> [||]
+
+let feed_iteration t values =
+  match t.phase with
+  | Verify v
+    when iteration_top t >= 0 && Array.length values = Array.length v.pattern
+    ->
+      for i = 0 to Array.length values - 1 do
+        verify_slot t v (Array.unsafe_get values i)
+      done
+  | Verify _ | Build -> invalid_arg "Translator.feed_iteration"
 
 let abort_external t = fail t Abort.External_abort
 let inject t reason = fail t reason

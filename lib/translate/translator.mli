@@ -66,6 +66,30 @@ val feed : t -> Event.t -> unit
 (** Process one retired instruction. After an abort condition the session
     latches the failure and ignores further events. *)
 
+val failed : t -> bool
+(** The session has latched an abort: {!feed} ignores every later
+    event, so the caller need not build them. *)
+
+val iteration_top : t -> int
+(** The loop-top pc when the session is verifying, has not failed, and
+    expects the first instruction of a new iteration next; [-1]
+    otherwise. *)
+
+val iteration_pattern : t -> Event.t array
+(** The first loop iteration's events, from the loop top through the
+    back-edge, which every later iteration must repeat ([[||]] before
+    the Verify phase). Read-only: the session owns the array. *)
+
+val feed_iteration : t -> int array -> unit
+(** Process one whole later iteration at once. [values.(i)] is the
+    value the iteration's [i]-th retired instruction produced, with
+    {!Event.no_value} for none; the instructions themselves are
+    {!iteration_pattern}'s, which the caller vouches it retired in order.
+    Exactly equivalent to {!feed}ing the iteration's events one by one:
+    both run the same per-slot function.
+    @raise Invalid_argument unless [iteration_top t >= 0] and [values]
+    has the pattern's length. *)
+
 val abort_external : t -> unit
 (** Asynchronous abort: context switch or interrupt (paper §4.1). *)
 

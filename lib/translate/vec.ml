@@ -13,6 +13,17 @@ let push t x =
   t.arr.(t.len) <- x;
   t.len <- t.len + 1
 
+(* [push] specialized to immediate elements: the store skips the
+   write barrier a polymorphic array store pays. *)
+let push_int (t : int t) (x : int) =
+  if t.len = Array.length t.arr then begin
+    let arr = Array.make (max 8 (2 * Array.length t.arr)) 0 in
+    Array.blit t.arr 0 arr 0 t.len;
+    t.arr <- arr
+  end;
+  Array.unsafe_set t.arr t.len x;
+  t.len <- t.len + 1
+
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds"
 

@@ -11,6 +11,10 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 (** Append an element, growing the backing store as needed. *)
 
+val push_int : int t -> int -> unit
+(** [push] for an [int] vector, without the polymorphic store's write
+    barrier: the translator's per-event value recordings. *)
+
 val get : 'a t -> int -> 'a
 (** [get v i] — the [i]th element; bounds-checked. *)
 

@@ -3,6 +3,7 @@
 open Liquid_harness
 open Liquid_workloads
 module Hwmodel = Liquid_hwmodel.Hwmodel
+module Backend = Liquid_translate.Backend
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -47,7 +48,7 @@ let test_hwmodel_scaling_laws () =
    per-uop path, so it adds area but no gates). *)
 let test_hwmodel_vla_row () =
   let rep =
-    Hwmodel.estimate { Hwmodel.default_params with Hwmodel.target = Hwmodel.Vla }
+    Hwmodel.estimate { Hwmodel.default_params with Hwmodel.target = Backend.Vla }
   in
   check "total cells" 180_153 rep.Hwmodel.total_cells;
   check "predication cells" 2_436 rep.Hwmodel.pred_cells;
@@ -58,7 +59,7 @@ let test_hwmodel_vla_row () =
   (* predicate file grows with log2 of the lane count only *)
   let at lanes =
     Hwmodel.estimate
-      { Hwmodel.default_params with Hwmodel.lanes; Hwmodel.target = Hwmodel.Vla }
+      { Hwmodel.default_params with Hwmodel.lanes; Hwmodel.target = Backend.Vla }
   in
   let r4 = at 4 and r8 = at 8 and r16 = at 16 in
   check "one log step per doubling"
@@ -100,9 +101,9 @@ let test_table2_structure () =
   let rows = Experiments.table2 () in
   check "four widths x three targets" 12 (List.length rows);
   let target t (r : Hwmodel.report) = r.Hwmodel.params.Hwmodel.target = t in
-  let fixed = List.filter (target Hwmodel.Fixed_width) rows in
-  let vla = List.filter (target Hwmodel.Vla) rows in
-  let rvv = List.filter (target Hwmodel.Rvv) rows in
+  let fixed = List.filter (target Backend.Fixed) rows in
+  let vla = List.filter (target Backend.Vla) rows in
+  let rvv = List.filter (target Backend.Rvv) rows in
   check "four fixed rows" 4 (List.length fixed);
   check "four vla rows" 4 (List.length vla);
   check "four rvv rows" 4 (List.length rvv);

@@ -916,3 +916,116 @@ let tests =
       Alcotest.test_case "wrong scaling aborts" `Quick test_wrong_shift_aborts;
       Alcotest.test_case "halt in region aborts" `Quick test_halt_in_region_aborts;
     ]
+
+(* --- whole-iteration batches --- *)
+
+(* Feed [stream] the way the block engine does: single events until the
+   session expects the first instruction of a later iteration, then the
+   next pattern-length run of events as one [feed_iteration] batch when
+   it retires exactly the pattern's pcs. Returns the session and the
+   number of batches fed. *)
+let feed_batched cfg stream =
+  let tr = Translator.create cfg in
+  let n = Array.length stream in
+  let batches = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let pattern = Translator.iteration_pattern tr in
+    let m = Array.length pattern in
+    let whole =
+      Translator.iteration_top tr = stream.(!i).Event.pc
+      && !i + m <= n
+      &&
+      let rec same k =
+        k >= m || (stream.(!i + k).Event.pc = pattern.(k).Event.pc && same (k + 1))
+      in
+      same 0
+    in
+    if whole then begin
+      Translator.feed_iteration tr
+        (Array.init m (fun k -> Event.value_code stream.(!i + k)));
+      incr batches;
+      i := !i + m
+    end
+    else begin
+      Translator.feed tr stream.(!i);
+      incr i
+    end
+  done;
+  (tr, !batches)
+
+(* Recorded region streams, fed per event and in batches, must leave
+   identical sessions: result (microcode with its guards, or the abort
+   reason), permutation tally, observed and static counts. Covers every
+   region of every workload under the three backends, plus hand-made
+   regions for folded constants, a recovered permutation and predicated
+   clamps whose moves do not always fire. *)
+let test_batched_verify_equivalence () =
+  let workload_streams =
+    List.concat_map
+      (fun (w : Liquid_workloads.Workload.t) ->
+        let image =
+          Image.of_program (Codegen.liquid w.Liquid_workloads.Workload.program)
+        in
+        List.map
+          (fun (entry, label) ->
+            (w.Liquid_workloads.Workload.name ^ "/" ^ label, record_stream image entry))
+          image.Image.region_entries)
+      (Liquid_workloads.Workload.all ())
+  in
+  let uqadd_body =
+    [
+      ld ~esize:Esize.Byte ~signed:false (r 1) "pa" (ri ind);
+      ld ~esize:Esize.Byte ~signed:false (r 2) "pb" (ri ind);
+      dp Opcode.Add (r 3) (r 1) (ri (r 2));
+      cmp (r 3) (i 255);
+      movc Cond.Gt (r 3) 255;
+      st ~esize:Esize.Byte (r 3) "pc" (ri ind);
+    ]
+  in
+  let hand_streams =
+    List.map
+      (fun (name, data, body) ->
+        let image, entry = region_image ~data (loop_shell body) in
+        (name, record_stream image entry))
+      [
+        ("vadd", simple_data, vadd_body);
+        ("mask", mask_data, masked_body);
+        ("pairswap", perm_data Perm.pairswap, permuted_load_body);
+        ("uqadd", byte_data, uqadd_body);
+      ]
+  in
+  let batches = ref 0 in
+  List.iter
+    (fun (name, stream) ->
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun lanes ->
+              let what =
+                Printf.sprintf "%s %s/%d" name (Backend.name_of backend) lanes
+              in
+              let cfg = Translator.default_config ~backend ~lanes () in
+              let single = Translator.create cfg in
+              Array.iter (Translator.feed single) stream;
+              let batched, n = feed_batched cfg stream in
+              batches := !batches + n;
+              check (what ^ ": observed") (Translator.observed single)
+                (Translator.observed batched);
+              check (what ^ ": static insns") (Translator.static_insns single)
+                (Translator.static_insns batched);
+              check_bool (what ^ ": result") true
+                (Translator.finish single = Translator.finish batched);
+              check_bool (what ^ ": permutation tally") true
+                (Translator.perm_tally single = Translator.perm_tally batched))
+            [ 4; 8 ])
+        Backend.all)
+    (workload_streams @ hand_streams);
+  check_bool "batches were fed" true (!batches > 0)
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "verify: whole-iteration batches" `Quick
+        test_batched_verify_equivalence;
+    ]
