@@ -31,6 +31,16 @@ let variant_conv =
   Arg.conv
     (parse, fun ppf v -> Format.pp_print_string ppf (Runner.variant_to_string v))
 
+(* A bounded integer option, rejected at parse time (a usage error, exit
+   124) in the wording [Runner.variant_of_string] uses for a bad width. *)
+let int_conv ~what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "bad %s %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let workload_arg =
   Arg.(
     required
@@ -55,20 +65,10 @@ let no_blocks_arg =
     value & flag
     & info [ "no-blocks" ]
         ~doc:
-          "Disable the pre-decoded translation-block engine and simulate \
-           instruction by instruction. Counters are bit-identical either \
-           way; this is an escape hatch for debugging the engine and for \
-           measuring its speedup.")
-
-let no_superblocks_arg =
-  Arg.(
-    value & flag
-    & info [ "no-superblocks" ]
-        ~doc:
-          "Disable the block engine's trace-superblock tier (keep plain \
-           translation blocks). No effect together with $(b,--no-blocks). \
+          "Disable the pre-decoded translation-block engine and its \
+           trace-superblock tier, and simulate instruction by instruction. \
            Counters are bit-identical either way; this is an escape hatch \
-           for debugging the trace tier and for measuring its speedup.")
+           for debugging the engine and for measuring its speedup.")
 
 (* --- list --- *)
 
@@ -142,7 +142,7 @@ let exec_cmd =
       & info [ "trace" ] ~docv:"N"
           ~doc:"Print the first $(docv) execution/region trace events.")
   in
-  let run file variant trace_n no_blocks no_superblocks =
+  let run file variant trace_n no_blocks =
     let source = In_channel.with_open_text file In_channel.input_all in
     match Parse.program ~name:(Filename.basename file) source with
     | exception Parse.Parse_error { line; message } ->
@@ -170,7 +170,6 @@ let exec_cmd =
                 (machine_config variant) with
                 Cpu.on_trace;
                 Cpu.blocks = not no_blocks;
-                Cpu.superblocks = not no_superblocks;
               }
             in
             let run = Cpu.run ~config (Image.of_program program) in
@@ -182,19 +181,14 @@ let exec_cmd =
               run.Cpu.regions)
   in
   Cmd.v (Cmd.info "exec" ~doc)
-    Term.(
-      const run $ file_arg $ variant_arg $ trace_arg $ no_blocks_arg
-      $ no_superblocks_arg)
+    Term.(const run $ file_arg $ variant_arg $ trace_arg $ no_blocks_arg)
 
 (* --- run --- *)
 
 let run_cmd =
   let doc = "Simulate a benchmark and print statistics" in
-  let run w variant no_blocks no_superblocks =
-    match
-      Runner.run ~blocks:(not no_blocks) ~superblocks:(not no_superblocks) w
-        variant
-    with
+  let run w variant no_blocks =
+    match Runner.run ~blocks:(not no_blocks) w variant with
     | { Runner.run; _ } ->
         Format.printf "%s on %s:@.%a@." w.Workload.name
           (Runner.variant_name variant)
@@ -215,9 +209,7 @@ let run_cmd =
         exit 1
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ workload_arg $ variant_arg $ no_blocks_arg
-      $ no_superblocks_arg)
+    Term.(const run $ workload_arg $ variant_arg $ no_blocks_arg)
 
 (* --- translate: show the microcode produced for each region --- *)
 
@@ -601,7 +593,8 @@ let faults_cmd =
   in
   let widths_arg =
     Arg.(
-      value & opt_all int []
+      value
+      & opt_all (int_conv ~what:"width" (fun n -> n > 0)) []
       & info [ "w"; "width" ] ~docv:"LANES"
           ~doc:"Accelerator width to attack (repeatable; default 2 4 8 16).")
   in
@@ -668,9 +661,9 @@ let fuzz_cmd =
          adversarial trip counts) and runs every case through the full \
          differential matrix: pure-scalar reference vs the inline-loop \
          baseline binary, fixed-width, VLA and RVV translation at widths \
-         2, 4, 8 and 16 with the block engine and trace-superblock tier \
-         on and off, oracle translation, and seeded translation-path \
-         faults. Prints the campaign report (abort-class and divergence \
+         2, 4, 8 and 16 with the block engine (trace-superblock tier \
+         included) on and off, oracle translation, and seeded \
+         translation-path faults. Prints the campaign report (abort-class and divergence \
          histograms); for each failing case, re-derives and prints a \
          shrunk minimal repro. Exits non-zero on any divergence.";
     ]
@@ -683,7 +676,8 @@ let fuzz_cmd =
   in
   let cases_arg =
     Arg.(
-      value & opt int 500
+      value
+      & opt (int_conv ~what:"case count" (fun n -> n >= 0)) 500
       & info [ "n"; "cases" ] ~docv:"N" ~doc:"Number of generated cases.")
   in
   let smoke_arg =

@@ -73,11 +73,7 @@ let check acc refc ~label ?(regs_checked = true) image config =
         (fun k -> acc.divs <- { d_label = label; d_kind = k } :: acc.divs)
         kind
 
-let engine_label blocks superblocks =
-  match (blocks, superblocks) with
-  | true, true -> ""
-  | true, false -> "/nosuper"
-  | false, _ -> "/noblocks"
+let engine_label blocks = if blocks then "" else "/noblocks"
 
 let backends = List.map Backend.kind_of Backend.all
 
@@ -139,21 +135,19 @@ let run_case ?fault_seed (p : Vloop.program) =
             acc.divs <-
               { d_label = "baseline"; d_kind = K_crash (Printexc.to_string e) }
               :: acc.divs);
-         (* fixed, VLA and RVV at every width, engine tiers on/off *)
+         (* fixed, VLA and RVV at every width, block engine on/off *)
          List.iter
            (fun w ->
              List.iter
                (fun variant ->
                  let base_label = Runner.variant_to_string variant in
                  List.iter
-                   (fun (blocks, superblocks) ->
-                     let config =
-                       { (Runner.config_of variant) with blocks; superblocks }
-                     in
+                   (fun blocks ->
+                     let config = { (Runner.config_of variant) with blocks } in
                      check acc refc
-                       ~label:(base_label ^ engine_label blocks superblocks)
+                       ~label:(base_label ^ engine_label blocks)
                        image config)
-                   [ (true, true); (true, false); (false, false) ])
+                   [ true; false ])
                (liquid_variants ~oracle:false w);
              (* oracle translation (microcode ready at first call) *)
              List.iter

@@ -1,10 +1,10 @@
 (** The cross-product differential oracle for one generated program.
 
-    One case fans out into ~53 simulations of the {e same} Liquid binary
+    One case fans out into 41 simulations of the {e same} Liquid binary
     — pure scalar (the reference), fixed-width, VLA and RVV accelerators
-    at widths 2/4/8/16, each with the block engine and trace-superblock
-    tier on and off, all three oracle-translation flavours, and a
-    handful of seeded translation-path faults — plus the inline-loop
+    at widths 2/4/8/16, each with the block engine (trace-superblock
+    tier included) on and off, all three oracle-translation flavours,
+    and three seeded translation-path faults — plus the inline-loop
     baseline binary. Every accelerated run must reproduce the reference's
     architectural state: all of data memory byte-for-byte and every
     register outside the image's dead-scratch mask

@@ -96,12 +96,9 @@ let config_of ?(translation_cpi = 1) = function
         }
   | Native lanes -> Cpu.native_config ~lanes
 
-let run ?translation_cpi ?(blocks = true) ?(superblocks = true)
-    (w : Workload.t) variant =
+let run ?translation_cpi ?(blocks = true) (w : Workload.t) variant =
   let program = program_of w variant in
-  let config =
-    { (config_of ?translation_cpi variant) with Cpu.blocks; Cpu.superblocks }
-  in
+  let config = { (config_of ?translation_cpi variant) with Cpu.blocks } in
   { variant; program; run = Cpu.run ~config (Image.of_program program) }
 
 (* --- memoized runs --- *)

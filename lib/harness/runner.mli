@@ -52,15 +52,13 @@ val config_of : ?translation_cpi:int -> variant -> Cpu.config
 val run :
   ?translation_cpi:int ->
   ?blocks:bool ->
-  ?superblocks:bool ->
   Workload.t ->
   variant ->
   result
 (** [blocks] (default [true]) toggles the {!Cpu} translation-block
-    engine; [superblocks] (default [true]) toggles its trace-superblock
-    tier (no effect with [blocks] off) — pinned counters are
-    bit-identical in every combination; the knobs exist for the engine's
-    own differential tests and speedup benchmarks. *)
+    engine and its trace-superblock tier — pinned counters are
+    bit-identical either way; the knob exists for the engine's own
+    differential tests and speedup benchmarks. *)
 
 val run_cached : ?translation_cpi:int -> Workload.t -> variant -> result
 (** Like {!run} with the block engine and its superblock tier on,

@@ -245,7 +245,6 @@ type t = {
   lanes : int;  (* accelerator lanes, -1 when absent *)
   max_uops : int;
   fuel : int;
-  superblocks : bool;
   slots : slot array;
   ucomps : (int, ucomp) Hashtbl.t;
   mutable last_ucomp : ucomp option;
@@ -277,7 +276,7 @@ let max_super_blocks = 16  (* member blocks per trace *)
 let max_super_thunks = 1024  (* closures per trace *)
 
 let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
-    ~mispredict_penalty ~vec_bus_bytes ~lanes ~max_uops ~fuel ~superblocks =
+    ~mispredict_penalty ~vec_bus_bytes ~lanes ~max_uops ~fuel =
   {
     image;
     ctx;
@@ -292,7 +291,6 @@ let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
     lanes = (match lanes with Some l -> l | None -> -1);
     max_uops;
     fuel;
-    superblocks;
     slots = Array.make (Array.length image.Image.code) S_unknown;
     ucomps = Hashtbl.create 8;
     last_ucomp = None;
@@ -1288,19 +1286,18 @@ let form_super eng latch ~head ~cond ~key ~fall =
 let[@inline] super_check eng b =
   match b.b_super with
   | Some sb -> if eng.out_pc = sb.s_head then run_super eng sb
-  | None ->
-      if eng.superblocks then (
-        match b.b_term with
-        | T_branch { cond; key; target; fall }
-          when target <= b.b_pc && eng.out_pc = target ->
-            b.b_hot <- b.b_hot + 1;
-            if b.b_hot = hot_threshold then begin
-              form_super eng b ~head:target ~cond ~key ~fall;
-              match b.b_super with
-              | Some sb -> run_super eng sb
-              | None -> ()
-            end
-        | _ -> ())
+  | None -> (
+      match b.b_term with
+      | T_branch { cond; key; target; fall }
+        when target <= b.b_pc && eng.out_pc = target ->
+          b.b_hot <- b.b_hot + 1;
+          if b.b_hot = hot_threshold then begin
+            form_super eng b ~head:target ~cond ~key ~fall;
+            match b.b_super with
+            | Some sb -> run_super eng sb
+            | None -> ()
+          end
+      | _ -> ())
 
 (* Successor block after [exec_block] (or [run_super]) set [out_pc].
    Unconditional edges (fallthrough, [B al]) have a single target,

@@ -85,13 +85,10 @@ val create :
   lanes:int option ->
   max_uops:int ->
   fuel:int ->
-  superblocks:bool ->
   t
 (** The engine shares the run's mutable machine state ([ctx], [stats],
     caches, predictor) with {!Cpu}; the scalar knobs are copied from the
-    config at creation. [superblocks] gates trace formation only — with
-    it off the engine never forms or runs a trace and behaves exactly
-    like the PR-4 block engine. *)
+    config at creation. *)
 
 val try_exec :
   t -> pc:int -> retired:int -> pending:Reg.t option -> traces:bool -> bool

@@ -65,7 +65,6 @@ type config = {
   fuel : int;
   faults : fault_hooks option;
   blocks : bool;
-  superblocks : bool;
 }
 
 let scalar_config =
@@ -87,7 +86,6 @@ let scalar_config =
     fuel = 200_000_000;
     faults = None;
     blocks = true;
-    superblocks = true;
   }
 
 let native_config ~lanes = { scalar_config with accel_lanes = Some lanes }
@@ -758,8 +756,7 @@ let init_state config image =
            ~mem_latency:config.mem_latency ~mul_extra:config.mul_extra
            ~mispredict_penalty:config.mispredict_penalty
            ~vec_bus_bytes:config.vec_bus_bytes ~lanes:config.accel_lanes
-           ~max_uops:config.max_uops ~fuel:config.fuel
-           ~superblocks:config.superblocks)
+           ~max_uops:config.max_uops ~fuel:config.fuel)
     else None
   in
   let st =

@@ -127,17 +127,12 @@ type config = {
           the region return, any body that is not a straight-line run
           ending in its back-edge, an iteration the fuel budget might
           not cover, and everything while [interrupt_interval] is set
-          (an interrupt aborts a session at an exact cycle). *)
-  superblocks : bool;
-      (** form trace superblocks on hot conditional back-edges and run
-          steady-state loop iterations through them ({!Blocks}); default
-          on, no effect unless [blocks] is also on. Bit-identical to the
-          plain block engine on every pinned counter — an escape hatch
-          for debugging and for measuring the trace tier's own
-          speedup. Inherits the block engine's self-disable conditions
-          (trace observer, fault hooks, fuel pressure); while a
-          translator session is live, no superblock is heated, formed
-          or entered. *)
+          (an interrupt aborts a session at an exact cycle). The engine
+          also forms trace superblocks on hot conditional back-edges and
+          runs steady-state loop iterations through them; a superblock
+          bails to the block path under fuel pressure, and while a
+          translator session is live none is heated, formed or
+          entered. *)
 }
 
 val scalar_config : config
@@ -182,10 +177,9 @@ type run = {
   block_execs : int;
       (** block executions, chained blocks included (0 when off).
           Superblock iterations are counted in [superblock_iters], not
-          here — runs with and without superblocks legitimately differ
-          on this telemetry (never on a pinned counter) *)
+          here *)
   superblocks_compiled : int;
-      (** trace superblocks formed (0 when blocks or superblocks off) *)
+      (** trace superblocks formed (0 when blocks off) *)
   superblock_iters : int;
       (** whole loop iterations executed through a superblock *)
   superblock_bailouts : int;

@@ -144,12 +144,15 @@ val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
 
 (** {1 Closure compilation}
 
-    One-instruction compilers for the block engine's superblock tier.
-    Each returns a specialized [unit -> unit] closure with operand
-    indices resolved, the lane count baked in, element decode/encode
-    monomorphized per element size and the opcode dispatch pre-resolved
-    ({!Opcode.fn}). The closure is only valid while the context's active
-    lane count equals [lanes]. Architectural state changes exactly as
+    One-instruction compilers for the block engine: {!Blocks} builds
+    the closure of every vector and governed micro-op through them, in
+    every translation block and every microcode segment (a superblock
+    concatenates its member blocks' closures). Each returns a
+    specialized [unit -> unit] closure with operand indices resolved,
+    the lane count baked in, element decode/encode monomorphized per
+    element size and the opcode dispatch pre-resolved ({!Opcode.fn}).
+    The closure is only valid while the context's active lane count
+    equals [lanes]. Architectural state changes exactly as
     under the interpretive [exec_*]; the access scratch prefix
     ([e_nacc]/[acc_*]) is maintained exactly (the engine derives
     data-cache charges from it), while the [e_value]/[e_taken] scratch is

@@ -58,6 +58,49 @@ let read_array (run : Cpu.run) program name =
 
 let check_arrays = Alcotest.(check (array int))
 
+(* FNV-1a fingerprints of final state, shared with the fault-injection
+   oracle so the two observers agree on what "identical state" means. *)
+let regs_hash = Liquid_faults.Fingerprint.regs_hash
+let mem_hash = Liquid_faults.Fingerprint.mem_hash
+
+(* The engine differentials' contract: two runs of the same image, one
+   through the block engine and its superblock tier, one stepping, agree
+   observable by observable. The cycle counter first and by name: it
+   folds in every timing rule (stalls, penalties, miss latencies), so
+   when the engine drifts this is the check that reads best in a
+   failure. Block and superblock tallies are telemetry of the strategy
+   itself and are not compared. *)
+let check_identical what (on : Cpu.run) (off : Cpu.run) =
+  let module Stats = Liquid_machine.Stats in
+  let ck field = Alcotest.(check int) (what ^ ": " ^ field) in
+  ck "cycles" off.Cpu.stats.Stats.cycles on.Cpu.stats.Stats.cycles;
+  Alcotest.(check bool)
+    (what ^ ": full Stats record") true
+    (off.Cpu.stats = on.Cpu.stats);
+  Alcotest.(check bool)
+    (what ^ ": icache counters") true
+    (off.Cpu.icache_counters = on.Cpu.icache_counters);
+  Alcotest.(check bool)
+    (what ^ ": dcache counters") true
+    (off.Cpu.dcache_counters = on.Cpu.dcache_counters);
+  Alcotest.(check bool)
+    (what ^ ": predictor counters") true
+    (off.Cpu.bpred_counters = on.Cpu.bpred_counters);
+  Alcotest.(check bool)
+    (what ^ ": ucode cache counters") true
+    (off.Cpu.ucache_counters = on.Cpu.ucache_counters);
+  ck "ucode max occupancy" off.Cpu.ucode_max_occupancy
+    on.Cpu.ucode_max_occupancy;
+  (* calls (start and end cycles), microcode service, outcome with the
+     installed width and uop count *)
+  Alcotest.(check bool)
+    (what ^ ": region reports") true
+    (off.Cpu.regions = on.Cpu.regions);
+  Alcotest.(check (list int))
+    (what ^ ": translation latencies")
+    off.Cpu.translation_latencies on.Cpu.translation_latencies;
+  ck "register hash" (regs_hash off.Cpu.regs) (regs_hash on.Cpu.regs)
+
 let check_memory_equal msg (a : Cpu.run) (b : Cpu.run) =
   if not (Memory.equal a.Cpu.memory b.Cpu.memory) then begin
     let diffs = Memory.diff a.Cpu.memory b.Cpu.memory in

@@ -4,12 +4,14 @@
    whole contract is bit-identity: for every workload, variant and
    accelerator width, the run with blocks on must produce exactly the
    same counters, register file and memory as the step-by-step run with
-   blocks off. The matrix below covers all fifteen workloads under
-   baseline, Liquid-on-scalar, and fixed/VLA/RVV translation (plus the
-   fixed and VLA oracles) at widths 2/4/8/16 — every Stats field, the
-   unit counters (caches, predictor, microcode cache), the region
-   reports, the translation latencies and FNV fingerprints of final
-   register and memory state.
+   blocks off. The default engine includes the trace-superblock tier, so
+   this one differential covers blocks and superblocks together. The
+   matrix below covers all fifteen workloads under baseline,
+   Liquid-on-scalar, and fixed/VLA/RVV translation (plus the fixed and
+   VLA oracles) at widths 2/4/8/16 — every Stats field, the unit
+   counters (caches, predictor, microcode cache), the region reports,
+   the translation latencies and FNV fingerprints of final register and
+   memory state — plus the predication conservation law on both runs.
 
    Live translator sessions run their verified loop iterations through
    the engine too (an observed loop body with a value capture), so the
@@ -20,8 +22,11 @@
    Separate cases cover the fidelity fallbacks: an interrupt-driven run
    (epoch catch-up across block stretches; sessions step), the engine's
    self-disable under fault hooks and trace observers (per-step
-   observation must win over speed), and a seeded fault campaign run
-   end-to-end with the engine left at its default. *)
+   observation must win over speed; no block or superblock runs), and a
+   seeded fault campaign run end-to-end with the engine left at its
+   default. The superblock tier's own edge cases (formation threshold,
+   guard re-entry, failed formation, fuel mid-trace) are in
+   [Suite_superblocks]. *)
 
 open Liquid_prog
 open Liquid_pipeline
@@ -30,9 +35,6 @@ open Liquid_harness
 open Liquid_workloads
 module Stats = Liquid_machine.Stats
 module Backend = Liquid_translate.Backend
-
-let regs_hash = Liquid_faults.Fingerprint.regs_hash
-let mem_hash = Liquid_faults.Fingerprint.mem_hash
 
 let widths = [ 2; 4; 8; 16 ]
 
@@ -49,39 +51,14 @@ let variants =
         ])
       widths
 
-(* Compare two runs of the same (workload, variant) observable by
-   observable. The cycle counter first and by name: it folds in every
-   timing rule (stalls, penalties, miss latencies), so when the engine
-   drifts this is the check that reads best in a failure. *)
-let check_identical what (on : Cpu.run) (off : Cpu.run) =
-  let ck field = Alcotest.(check int) (what ^ ": " ^ field) in
-  ck "cycles" off.Cpu.stats.Stats.cycles on.Cpu.stats.Stats.cycles;
-  Alcotest.(check bool)
-    (what ^ ": full Stats record") true
-    (off.Cpu.stats = on.Cpu.stats);
-  Alcotest.(check bool)
-    (what ^ ": icache counters") true
-    (off.Cpu.icache_counters = on.Cpu.icache_counters);
-  Alcotest.(check bool)
-    (what ^ ": dcache counters") true
-    (off.Cpu.dcache_counters = on.Cpu.dcache_counters);
-  Alcotest.(check bool)
-    (what ^ ": predictor counters") true
-    (off.Cpu.bpred_counters = on.Cpu.bpred_counters);
-  Alcotest.(check bool)
-    (what ^ ": ucode cache counters") true
-    (off.Cpu.ucache_counters = on.Cpu.ucache_counters);
-  ck "ucode max occupancy" off.Cpu.ucode_max_occupancy
-    on.Cpu.ucode_max_occupancy;
-  (* calls (start and end cycles), microcode service, outcome with the
-     installed width and uop count *)
-  Alcotest.(check bool)
-    (what ^ ": region reports") true
-    (off.Cpu.regions = on.Cpu.regions);
-  Alcotest.(check (list int))
-    (what ^ ": translation latencies")
-    off.Cpu.translation_latencies on.Cpu.translation_latencies;
-  ck "register hash" (regs_hash off.Cpu.regs) (regs_hash on.Cpu.regs)
+(* Predicated vector dispatches split exactly into fast-path and masked
+   executions, on the engine's closures as on the stepping
+   interpreter. *)
+let check_conservation what (r : Cpu.run) =
+  Alcotest.(check int)
+    (what ^ ": pred fast + masked = dispatched")
+    r.Cpu.vla_pred_execs
+    (r.Cpu.pred_fast_iters + r.Cpu.pred_masked_iters)
 
 let check_variant w variant =
   match Runner.program_of w variant with
@@ -93,11 +70,13 @@ let check_variant w variant =
       let what =
         Printf.sprintf "%s/%s" w.Workload.name (Runner.variant_name variant)
       in
-      check_identical what on.Runner.run off.Runner.run;
+      Helpers.check_identical what on.Runner.run off.Runner.run;
       Alcotest.(check int)
         (what ^ ": memory hash")
-        (mem_hash image off.Runner.run.Cpu.memory)
-        (mem_hash image on.Runner.run.Cpu.memory);
+        (Helpers.mem_hash image off.Runner.run.Cpu.memory)
+        (Helpers.mem_hash image on.Runner.run.Cpu.memory);
+      check_conservation (what ^ " [engine]") on.Runner.run;
+      check_conservation (what ^ " [stepping]") off.Runner.run;
       (* The comparison is vacuous if the engine never actually ran. *)
       Alcotest.(check bool)
         (what ^ ": engine executed blocks")
@@ -140,7 +119,7 @@ let test_interrupts () =
   in
   let on = Cpu.run ~config image in
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
-  check_identical "FFT/interrupt-1000" on off;
+  Helpers.check_identical "FFT/interrupt-1000" on off;
   Alcotest.(check bool)
     "interrupts actually fired (sessions aborted)" true
     (on.Cpu.stats.Stats.translations_aborted > 0);
@@ -202,7 +181,7 @@ let live_config ?(backend = Backend.Fixed) ?(lanes = 8) () =
 let check_session what config image =
   let on = Cpu.run ~config image in
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
-  check_identical what on off;
+  Helpers.check_identical what on off;
   Helpers.check_memory_equal (what ^ ": memory") on off;
   on
 
@@ -366,9 +345,20 @@ let noop_hooks =
     fh_evict = (fun ~entry:_ ~call:_ -> false);
   }
 
-(* Fault hooks and trace observers need per-step observation, so the
-   engine must not run at all — and with no-op hooks the run must still
-   match the unhooked one exactly. *)
+(* Telemetry of a run the engine never touched: no block, no superblock. *)
+let check_engine_idle what (r : Cpu.run) =
+  List.iter
+    (fun (field, n) -> Alcotest.(check int) (what ^ ": " ^ field) 0 n)
+    [
+      ("blocks compiled", r.Cpu.blocks_compiled);
+      ("block executions", r.Cpu.block_execs);
+      ("superblocks formed", r.Cpu.superblocks_compiled);
+      ("superblock iterations", r.Cpu.superblock_iters);
+    ]
+
+(* Fault hooks and trace observers need per-step observation, so neither
+   the engine nor its superblock tier may run at all — and with no-op
+   hooks the run must still match the unhooked one exactly. *)
 let test_self_disable () =
   let w =
     match Workload.find "GSM Dec." with Some w -> w | None -> assert false
@@ -377,24 +367,26 @@ let test_self_disable () =
   let config = Cpu.liquid_config ~lanes:8 in
   let plain = Cpu.run ~config image in
   Alcotest.(check bool) "engine on by default" true (plain.Cpu.block_execs > 0);
+  Alcotest.(check bool)
+    "superblock tier on by default" true
+    (plain.Cpu.superblocks_compiled > 0);
   let faulted =
     Cpu.run ~config:{ config with Cpu.faults = Some noop_hooks } image
   in
-  Alcotest.(check int) "fault hooks disable the engine" 0
-    faulted.Cpu.block_execs;
-  check_identical "GSM Dec./noop-fault-hooks" plain faulted;
+  check_engine_idle "fault hooks disable the engine" faulted;
+  Helpers.check_identical "GSM Dec./noop-fault-hooks" plain faulted;
   let traced =
     Cpu.run ~config:{ config with Cpu.on_trace = Some (fun _ -> ()) } image
   in
-  Alcotest.(check int) "trace observer disables the engine" 0
-    traced.Cpu.block_execs;
-  check_identical "GSM Dec./noop-trace" plain traced;
+  check_engine_idle "trace observer disables the engine" traced;
+  Helpers.check_identical "GSM Dec./noop-trace" plain traced;
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
-  Alcotest.(check int) "blocks=false builds no engine" 0 off.Cpu.blocks_compiled
+  check_engine_idle "blocks=false builds no engine" off
 
-(* The fault campaign runs with the config's default [blocks = true]:
-   every injected case must still degrade to the scalar-identical state,
-   because the campaign's hooks force the engine off underneath it. *)
+(* The fault campaign runs with the config's default [blocks = true], so
+   the block engine and its superblock tier are both on: every injected
+   case must still degrade to the scalar-identical state, because the
+   campaign's hooks force the whole engine off underneath it. *)
 let test_fault_campaign () =
   let w =
     match Workload.find "FIR" with Some w -> w | None -> assert false
@@ -403,7 +395,7 @@ let test_fault_campaign () =
     Liquid_faults.Campaign.run ~workloads:[ w ] ~widths:[ 8 ] ~seed:2007 ()
   in
   Alcotest.(check bool)
-    "campaign survives with the engine at its default" true
+    "campaign survives with the engine and tier at their default" true
     (Liquid_faults.Campaign.survived report)
 
 let tests =

@@ -45,11 +45,11 @@ let test_mini_campaign () =
   | l ->
       Alcotest.failf "divergent cases: %s"
         (String.concat ", " (List.map (fun (i, _) -> string_of_int i) l)));
-  (* matrix accounting: 50 fault-free runs per case (scalar reference,
-     baseline, and per width the three backends x three engine tiers
+  (* matrix accounting: 38 fault-free runs per case (scalar reference,
+     baseline, and per width the three backends x block engine on/off
      plus three oracles) plus 3 seeded fault runs, and the
      clean/divergent split partitions the cases *)
-  check_int "runs per case" (cases * 53) r.Campaign.r_runs;
+  check_int "runs per case" (cases * 41) r.Campaign.r_runs;
   check_int "clean + divergent = cases" cases
     (r.Campaign.r_clean + List.length r.Campaign.r_divergent);
   check_int "divergence histogram is empty" 0

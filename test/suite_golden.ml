@@ -53,13 +53,9 @@ type golden = {
   g_mem_hash : int;
 }
 
-(* The FNV-1a fingerprints live in [Liquid_faults.Fingerprint], shared
-   with the fault-injection oracle so the two observers can never
-   disagree about what "identical state" means. The pinned values below
-   predate the shared module and must survive any refactor of it. *)
-let regs_hash = Liquid_faults.Fingerprint.regs_hash
-let mem_hash = Liquid_faults.Fingerprint.mem_hash
-
+(* The pinned fingerprints below ([Helpers.regs_hash]/[mem_hash], i.e.
+   [Liquid_faults.Fingerprint]) predate the shared module and must
+   survive any refactor of it. *)
 let goldens =
   [
     ("052.alvinn", "baseline", { g_cycles = 281840; g_scalar = 212990; g_vector = 0; g_loads = 48720; g_stores = 6144; g_branches = 30263; g_mispredicts = 4; g_dhits = 54608; g_dmisses = 256; g_ihits = 212985; g_imisses = 5; g_region_calls = 0; g_ucode_hits = 0; g_installs = 0; g_fetches = 212990; g_uops = 0; g_evictions = 0; g_tr_started = 0; g_tr_aborted = 0; g_regs_hash = 0x4207be414f6fa218; g_mem_hash = 0x3414aedbe1508ed1 });
@@ -171,9 +167,9 @@ let check_row (wname, vname, g) () =
     run.Cpu.bpred_counters.Liquid_machine.Branch_pred.p_mispredicts;
   ck "stats evictions = ucache evictions" s.Stats.ucode_evictions
     run.Cpu.ucache_counters.Liquid_pipeline.Ucode_cache.u_evictions;
-  ck "register file hash" g.g_regs_hash (regs_hash run.Cpu.regs);
+  ck "register file hash" g.g_regs_hash (Helpers.regs_hash run.Cpu.regs);
   ck "memory hash" g.g_mem_hash
-    (mem_hash (Image.of_program program) run.Cpu.memory)
+    (Helpers.mem_hash (Image.of_program program) run.Cpu.memory)
 
 (* --- Vgather bus charge regression --- *)
 

@@ -1,25 +1,18 @@
-(* Differential tests for the trace-superblock tier (Blocks).
+(* Edge cases of the trace-superblock tier (Blocks).
 
-   Like the block engine underneath it, the tier is an execution
-   strategy, not a semantics change: for every workload, variant and
-   accelerator width, the run with superblocks on must produce exactly
-   the same pinned counters, register file and memory as the run with
-   superblocks off (both with translation blocks on). The matrix below
-   covers all fifteen workloads under baseline, Liquid-on-scalar, and
-   Liquid/oracle/VLA at widths 2/4/8/16 — every Stats field, the unit
-   counters (caches, predictor, microcode cache) and FNV fingerprints
-   of final register and memory state — plus the predication
-   conservation law on both runs.
-
-   Hand-built loops then attack the guard: trip counts straddling the
-   formation threshold (a superblock formed on the very last iteration,
-   or never), a loop whose trip count changes between re-entries so the
-   guard bails at a different iteration every time, a body with an
-   internal conditional branch (formation must fail, execution must not
-   care), and a fuel budget that expires mid-loop (the tier must bail
-   to the block path and die on exactly the same instruction). Separate
-   cases cover the inherited fidelity self-disable (fault hooks, trace
-   observers) and a seeded fault campaign at the default config. *)
+   The tier is part of the block engine, not a mode of its own: the
+   engine differential in [Suite_blocks] holds every workload, variant
+   and width to bit-identity with stepping, superblocks included. The
+   cases here attack the tier's guard on hand-built loops, each run
+   against the stepping engine ([Cpu.blocks = false]) as its reference:
+   trip counts straddling the formation threshold (a superblock formed
+   on the very last iteration, or never), a loop whose trip count
+   changes between re-entries so the guard bails at a different
+   iteration every time, a body with an internal conditional branch
+   (formation must fail, execution must not care), and a fuel budget
+   that expires mid-loop (the tier must bail to the block path and die
+   on exactly the same instruction). A probe case checks the tier
+   really fires on real workloads. *)
 
 open Liquid_isa
 open Liquid_prog
@@ -27,84 +20,10 @@ open Liquid_pipeline
 open Liquid_scalarize
 open Liquid_harness
 open Liquid_workloads
-module Stats = Liquid_machine.Stats
 
-let regs_hash = Liquid_faults.Fingerprint.regs_hash
-let mem_hash = Liquid_faults.Fingerprint.mem_hash
-
-let widths = [ 2; 4; 8; 16 ]
-
-let variants =
-  [ Runner.Baseline; Runner.Liquid_scalar ]
-  @ List.concat_map
-      (fun w ->
-        [
-          Helpers.liquid w;
-          Helpers.liquid ~oracle:true w;
-          Helpers.liquid ~backend:Liquid_translate.Backend.Vla w;
-          Helpers.liquid ~backend:Liquid_translate.Backend.Vla ~oracle:true w;
-        ])
-      widths
-
-(* Pinned counters only: block/superblock execution tallies are
-   telemetry of the strategy itself and legitimately differ between the
-   two runs; everything here must not. *)
-let check_identical what (on : Cpu.run) (off : Cpu.run) =
-  let ck field = Alcotest.(check int) (what ^ ": " ^ field) in
-  ck "cycles" off.Cpu.stats.Stats.cycles on.Cpu.stats.Stats.cycles;
-  Alcotest.(check bool)
-    (what ^ ": full Stats record") true
-    (off.Cpu.stats = on.Cpu.stats);
-  Alcotest.(check bool)
-    (what ^ ": icache counters") true
-    (off.Cpu.icache_counters = on.Cpu.icache_counters);
-  Alcotest.(check bool)
-    (what ^ ": dcache counters") true
-    (off.Cpu.dcache_counters = on.Cpu.dcache_counters);
-  Alcotest.(check bool)
-    (what ^ ": predictor counters") true
-    (off.Cpu.bpred_counters = on.Cpu.bpred_counters);
-  Alcotest.(check bool)
-    (what ^ ": ucode cache counters") true
-    (off.Cpu.ucache_counters = on.Cpu.ucache_counters);
-  ck "ucode max occupancy" off.Cpu.ucode_max_occupancy
-    on.Cpu.ucode_max_occupancy;
-  ck "register hash" (regs_hash off.Cpu.regs) (regs_hash on.Cpu.regs)
-
-let check_conservation what (r : Cpu.run) =
-  Alcotest.(check int)
-    (what ^ ": pred fast + masked = dispatched")
-    r.Cpu.vla_pred_execs
-    (r.Cpu.pred_fast_iters + r.Cpu.pred_masked_iters)
-
-let check_variant w variant =
-  match Runner.program_of w variant with
-  | exception Codegen.Unsupported_width _ -> ()
-  | program ->
-      let image = Image.of_program program in
-      let on = Runner.run_cached w variant in
-      let off = Runner.run ~superblocks:false w variant in
-      let what =
-        Printf.sprintf "%s/%s" w.Workload.name (Runner.variant_name variant)
-      in
-      check_identical what on.Runner.run off.Runner.run;
-      Alcotest.(check int)
-        (what ^ ": memory hash")
-        (mem_hash image off.Runner.run.Cpu.memory)
-        (mem_hash image on.Runner.run.Cpu.memory);
-      check_conservation (what ^ " [super on]") on.Runner.run;
-      check_conservation (what ^ " [super off]") off.Runner.run;
-      Alcotest.(check int)
-        (what ^ ": tier off forms nothing")
-        0 off.Runner.run.Cpu.superblocks_compiled;
-      Alcotest.(check int)
-        (what ^ ": tier off iterates nothing")
-        0 off.Runner.run.Cpu.superblock_iters
-
-let test_workload w () = List.iter (check_variant w) variants
-
-(* The matrix is vacuous if the tier never actually fires: the probe
-   workloads below are known to form and iterate superblocks. *)
+(* The engine differential is vacuous for the tier if it never fires:
+   the probe workloads below are known to form and iterate
+   superblocks. *)
 let test_activity () =
   let probe name variant =
     let w =
@@ -158,8 +77,8 @@ let counting_program ~trips =
         Data.zeros ~name:"sum" ~esize:Esize.Word 1;
       ]
 
-let run_counting ~superblocks trips =
-  let config = { Cpu.scalar_config with Cpu.superblocks } in
+let run_counting ~blocks trips =
+  let config = { Cpu.scalar_config with Cpu.blocks } in
   Cpu.run ~config (Image.of_program (counting_program ~trips))
 
 (* The threshold is 16 taken back-edges counted on the block that
@@ -172,10 +91,10 @@ let run_counting ~superblocks trips =
 let test_trip_counts () =
   List.iter
     (fun trips ->
-      let on = run_counting ~superblocks:true trips in
-      let off = run_counting ~superblocks:false trips in
+      let on = run_counting ~blocks:true trips in
+      let off = run_counting ~blocks:false trips in
       let what = Printf.sprintf "count%d" trips in
-      check_identical what on off;
+      Helpers.check_identical what on off;
       Alcotest.(check bool)
         (what ^ ": memories equal")
         true
@@ -232,13 +151,13 @@ let varying_program =
       ]
 
 let test_varying_trip_counts () =
-  let run ~superblocks =
-    let config = { Cpu.scalar_config with Cpu.superblocks } in
+  let run ~blocks =
+    let config = { Cpu.scalar_config with Cpu.blocks } in
     Cpu.run ~config (Image.of_program varying_program)
   in
-  let on = run ~superblocks:true in
-  let off = run ~superblocks:false in
-  check_identical "varying" on off;
+  let on = run ~blocks:true in
+  let off = run ~blocks:false in
+  Helpers.check_identical "varying" on off;
   Alcotest.(check bool)
     "varying: memories equal" true
     (Liquid_machine.Memory.equal on.Cpu.memory off.Cpu.memory);
@@ -281,13 +200,13 @@ let branchy_program =
       ]
 
 let test_formation_failure () =
-  let run ~superblocks =
-    let config = { Cpu.scalar_config with Cpu.superblocks } in
+  let run ~blocks =
+    let config = { Cpu.scalar_config with Cpu.blocks } in
     Cpu.run ~config (Image.of_program branchy_program)
   in
-  let on = run ~superblocks:true in
-  let off = run ~superblocks:false in
-  check_identical "branchy" on off;
+  let on = run ~blocks:true in
+  let off = run ~blocks:false in
+  Helpers.check_identical "branchy" on off;
   Alcotest.(check int) "branchy: formation failed" 0
     on.Cpu.superblocks_compiled;
   Alcotest.(check int) "branchy: no superblock iterations" 0
@@ -295,14 +214,14 @@ let test_formation_failure () =
 
 (* Fuel expiring in the middle of a hot loop: the tier must bail to the
    block path at an iteration boundary and let it die on exactly the
-   same instruction, cycle and retired count as the tier-off run. *)
+   same instruction, cycle and retired count as the stepping run. *)
 let test_fuel_bailout () =
   List.iter
     (fun fuel ->
       let image = Image.of_program (counting_program ~trips:5000) in
-      let result superblocks =
+      let result blocks =
         Cpu.run_result
-          ~config:{ Cpu.scalar_config with Cpu.fuel; Cpu.superblocks }
+          ~config:{ Cpu.scalar_config with Cpu.fuel; Cpu.blocks }
           image
       in
       match (result true, result false) with
@@ -318,80 +237,16 @@ let test_fuel_bailout () =
           Alcotest.failf "fuel %d: expected both runs to exhaust fuel" fuel)
     [ 200; 301; 1111 ]
 
-(* --- inherited fidelity self-disable --- *)
-
-let noop_hooks =
-  {
-    Cpu.fh_abort = (fun ~entry:_ ~observed:_ -> None);
-    fh_corrupt = (fun ~entry:_ ~observed:_ -> false);
-    fh_evict = (fun ~entry:_ ~call:_ -> false);
-  }
-
-(* Fault hooks and trace observers force the block engine off, and the
-   tier rides on the engine: all superblock telemetry must be zero and
-   the run still exact. *)
-let test_self_disable () =
-  let w =
-    match Workload.find "GSM Dec." with Some w -> w | None -> assert false
-  in
-  let image = Image.of_program (Codegen.liquid w.Workload.program) in
-  let config = Cpu.liquid_config ~lanes:8 in
-  let plain = Cpu.run ~config image in
-  Alcotest.(check bool)
-    "tier on by default" true
-    (plain.Cpu.superblocks_compiled > 0);
-  let faulted =
-    Cpu.run ~config:{ config with Cpu.faults = Some noop_hooks } image
-  in
-  Alcotest.(check int) "fault hooks disable the tier" 0
-    faulted.Cpu.superblocks_compiled;
-  Alcotest.(check int) "fault hooks: no superblock iterations" 0
-    faulted.Cpu.superblock_iters;
-  check_identical "GSM Dec./noop-fault-hooks" plain faulted;
-  let traced =
-    Cpu.run ~config:{ config with Cpu.on_trace = Some (fun _ -> ()) } image
-  in
-  Alcotest.(check int) "trace observer disables the tier" 0
-    traced.Cpu.superblocks_compiled;
-  check_identical "GSM Dec./noop-trace" plain traced;
-  let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
-  Alcotest.(check int) "blocks=false forms no superblocks" 0
-    off.Cpu.superblocks_compiled
-
-(* The seeded fault campaign runs with the config's defaults (blocks
-   and superblocks both on): every injected case must still degrade to
-   the scalar-identical state, because the campaign's hooks force the
-   whole engine off underneath it. *)
-let test_fault_campaign () =
-  let w =
-    match Workload.find "FIR" with Some w -> w | None -> assert false
-  in
-  let report =
-    Liquid_faults.Campaign.run ~workloads:[ w ] ~widths:[ 8 ] ~seed:2007 ()
-  in
-  Alcotest.(check bool)
-    "campaign survives with the tier at its default" true
-    (Liquid_faults.Campaign.survived report)
-
 let tests =
-  List.map
-    (fun (w : Workload.t) ->
-      Alcotest.test_case
-        (Printf.sprintf "differential %s" w.Workload.name)
-        `Quick (test_workload w))
-    (Workload.all ())
-  @ [
-      Alcotest.test_case "superblock activity on probe workloads" `Quick
-        test_activity;
-      Alcotest.test_case "trip counts around the formation threshold" `Quick
-        test_trip_counts;
-      Alcotest.test_case "varying trip counts across re-entries" `Quick
-        test_varying_trip_counts;
-      Alcotest.test_case "formation fails on internal conditionals" `Quick
-        test_formation_failure;
-      Alcotest.test_case "fuel exhaustion mid-superblock" `Quick
-        test_fuel_bailout;
-      Alcotest.test_case "fidelity self-disable" `Quick test_self_disable;
-      Alcotest.test_case "fault campaign at default config" `Quick
-        test_fault_campaign;
-    ]
+  [
+    Alcotest.test_case "superblock activity on probe workloads" `Quick
+      test_activity;
+    Alcotest.test_case "trip counts around the formation threshold" `Quick
+      test_trip_counts;
+    Alcotest.test_case "varying trip counts across re-entries" `Quick
+      test_varying_trip_counts;
+    Alcotest.test_case "formation fails on internal conditionals" `Quick
+      test_formation_failure;
+    Alcotest.test_case "fuel exhaustion mid-superblock" `Quick
+      test_fuel_bailout;
+  ]
