@@ -41,6 +41,12 @@ let int_conv ~what ok =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let width_arg =
+  Arg.(
+    value
+    & opt (int_conv ~what:"width" (fun n -> n > 0)) 8
+    & info [ "w"; "width" ] ~docv:"LANES" ~doc:"Accelerator lane count.")
+
 let workload_arg =
   Arg.(
     required
@@ -215,11 +221,6 @@ let run_cmd =
 
 let translate_cmd =
   let doc = "Show the SIMD microcode the translator produces for a benchmark" in
-  let width_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "w"; "width" ] ~docv:"LANES" ~doc:"Accelerator lane count.")
-  in
   let backend_arg =
     let backend_conv =
       Arg.conv
@@ -475,9 +476,6 @@ let encode_cmd =
 
 let summary_cmd =
   let doc = "Run every benchmark at one width and summarize" in
-  let width_arg =
-    Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"LANES" ~doc:"Lane count.")
-  in
   let run lanes =
     Format.printf "%-12s %9s %9s %8s %6s %7s@." "benchmark" "baseline"
       "liquid" "speedup" "ucode%" "aborts";
@@ -567,90 +565,10 @@ let hwmodel_cmd =
   Cmd.v (Cmd.info "hwmodel" ~doc)
     Term.(const run $ lanes_arg $ regs_arg $ buffer_arg $ target_arg $ lmul_arg)
 
-(* --- faults: seeded injection campaign with survival report --- *)
-
-let faults_cmd =
-  let doc = "Run a seeded fault-injection campaign and print a survival report" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Attacks the translation path of every selected workload: forced \
-         translation aborts of every class at seeded sites, corrupted \
-         instruction feeds, mid-run microcode-cache evictions, and \
-         watchdog exhaustion. After each fault the final register and \
-         memory state is compared (FNV fingerprints) against the pure \
-         scalar execution of the same binary — the paper's abort-safety \
-         claim, checked mechanically. Exits non-zero if any case \
-         diverges or crashes.";
-    ]
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 2007
-      & info [ "s"; "seed" ] ~docv:"SEED"
-          ~doc:"Campaign seed; the same seed replays the same plan.")
-  in
-  let widths_arg =
-    Arg.(
-      value
-      & opt_all (int_conv ~what:"width" (fun n -> n > 0)) []
-      & info [ "w"; "width" ] ~docv:"LANES"
-          ~doc:"Accelerator width to attack (repeatable; default 2 4 8 16).")
-  in
-  let workloads_arg =
-    Arg.(
-      value & opt_all workload_conv []
-      & info [ "b"; "benchmark" ] ~docv:"WORKLOAD"
-          ~doc:"Benchmark to attack (repeatable; default: all fifteen).")
-  in
-  let verbose_arg =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ] ~doc:"Print every case, not just failures.")
-  in
-  let backend_arg =
-    let backend_conv =
-      Arg.conv
-        ( (fun s ->
-            match Liquid_translate.Backend.of_string s with
-            | Some b -> Ok b
-            | None -> Error (`Msg "expected fixed, vla or rvv")),
-          fun ppf b ->
-            Format.pp_print_string ppf (Liquid_translate.Backend.name_of b) )
-    in
-    Arg.(
-      value
-      & opt backend_conv Liquid_translate.Backend.fixed
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Translation target under attack: $(b,fixed), $(b,vla) or \
-             $(b,rvv).")
-  in
-  let run seed widths workloads verbose backend =
-    let module C = Liquid_faults.Campaign in
-    let widths = if widths = [] then None else Some widths in
-    let workloads = if workloads = [] then None else Some workloads in
-    let report = C.run ~backend ?workloads ?widths ~seed () in
-    List.iter
-      (fun (c : C.case) ->
-        match c.C.c_verdict with
-        | C.Safe | C.Not_triggered ->
-            if verbose then Format.printf "%a@." C.pp_case c
-        | _ -> Format.printf "%a@." C.pp_case c)
-      report.C.r_cases;
-    Format.printf "%a@." C.pp_report report;
-    if not (C.survived report) then exit 1
-  in
-  Cmd.v (Cmd.info "faults" ~doc ~man)
-    Term.(
-      const run $ seed_arg $ widths_arg $ workloads_arg $ verbose_arg
-      $ backend_arg)
-
 (* --- fuzz: the generative differential campaign over the Vloop IR --- *)
 
 let fuzz_cmd =
-  let doc = "Run a seeded differential fuzzing campaign over generated programs" in
+  let doc = "Run a seeded differential fuzzing campaign" in
   let man =
     [
       `S Manpage.s_description;
@@ -658,14 +576,17 @@ let fuzz_cmd =
         "Generates random Vloop IR programs (arbitrary op mixes, \
          reductions, saturating idioms, permutations — including \
          fission-inducing mid-loop ones — strided and gathered memory, \
-         adversarial trip counts) and runs every case through the full \
+         adversarial trip counts), or with $(b,-b) takes the selected \
+         workloads' programs, and runs every case through the full \
          differential matrix: pure-scalar reference vs the inline-loop \
          baseline binary, fixed-width, VLA and RVV translation at widths \
          2, 4, 8 and 16 with the block engine (trace-superblock tier \
-         included) on and off, oracle translation, and seeded \
-         translation-path faults. Prints the campaign report (abort-class and divergence \
-         histograms); for each failing case, re-derives and prints a \
-         shrunk minimal repro. Exits non-zero on any divergence.";
+         included) on and off, oracle translation, and three seeded \
+         fault cells: a forced abort of any class, a corrupted feed, a \
+         microcode eviction or a watchdog budget, at a site inside the \
+         attacked variant's own clean run. Prints the campaign report; \
+         for each failing case, re-derives and prints a shrunk minimal \
+         repro. Exits non-zero on any divergence.";
     ]
   in
   let seed_arg =
@@ -677,8 +598,15 @@ let fuzz_cmd =
   let cases_arg =
     Arg.(
       value
-      & opt (int_conv ~what:"case count" (fun n -> n >= 0)) 500
-      & info [ "n"; "cases" ] ~docv:"N" ~doc:"Number of generated cases.")
+      & opt (some (int_conv ~what:"case count" (fun n -> n >= 0))) None
+      & info [ "n"; "cases" ] ~docv:"N"
+          ~doc:"Number of cases (default 500, or one per $(b,-b) workload).")
+  in
+  let workloads_arg =
+    Arg.(
+      value & opt_all workload_conv []
+      & info [ "b"; "benchmark" ] ~docv:"WORKLOAD"
+          ~doc:"Take the cases from this workload (repeatable).")
   in
   let smoke_arg =
     Arg.(
@@ -697,32 +625,34 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "no-faults" ]
-          ~doc:"Skip the seeded translation-path fault runs in each matrix.")
+          ~doc:"Skip the seeded fault cells in each matrix.")
   in
   let json_arg =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Print the schema-validated JSON report instead.")
   in
-  let run seed cases smoke domains no_faults json =
+  let run seed cases workloads smoke domains no_faults json =
     let module Campaign = Liquid_fuzz.Campaign in
-    let cases = if smoke then 40 else cases in
+    let default = if workloads = [] then 500 else List.length workloads in
+    let cases = if smoke then 40 else Option.value cases ~default in
     let faults = not no_faults in
-    let report = Campaign.run ?domains ~faults ~seed ~cases () in
+    let report = Campaign.run ?domains ~workloads ~faults ~seed ~cases () in
     if json then
       print_endline
         (Liquid_obs.Json.to_string ~pretty:true (Campaign.to_json report))
     else Format.printf "%a@." Campaign.pp report;
     if report.Campaign.r_divergent <> [] then begin
       List.iter
-        (fun (index, _) ->
-          match Campaign.shrunk_repro ~faults ~seed ~index () with
+        (fun (index, program, _) ->
+          match Campaign.shrunk_repro ~workloads ~faults ~seed ~index () with
           | None ->
               Format.eprintf "case %d: divergence did not reproduce in-process@."
                 index
           | Some repro ->
-              Format.eprintf "@[<v>shrunk repro of case %d (fault seed %d):@ %a@]@."
-                index
+              Format.eprintf
+                "@[<v>shrunk repro of case %d (%s, fault seed %d):@ %a@]@."
+                index program
                 (Campaign.fault_seed_of ~seed ~index)
                 Liquid_fuzz.Gen.pp_program repro)
         report.Campaign.r_divergent;
@@ -731,8 +661,8 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc ~man)
     Term.(
-      const run $ seed_arg $ cases_arg $ smoke_arg $ domains_arg $ no_faults_arg
-      $ json_arg)
+      const run $ seed_arg $ cases_arg $ workloads_arg $ smoke_arg $ domains_arg
+      $ no_faults_arg $ json_arg)
 
 let main =
   let doc = "Liquid SIMD: dynamic mapping of scalarized loops onto SIMD accelerators" in
@@ -747,7 +677,6 @@ let main =
       encode_cmd;
       summary_cmd;
       hwmodel_cmd;
-      faults_cmd;
       fuzz_cmd;
     ]
 

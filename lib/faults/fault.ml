@@ -1,5 +1,6 @@
 open Liquid_translate
 open Liquid_pipeline
+module Stats = Liquid_machine.Stats
 
 (* --- deterministic seeded RNG (splitmix64) --- *)
 
@@ -33,14 +34,21 @@ type t =
   | Evict_ucode of { call : int }
   | Exhaust_fuel of { budget : int }
 
-let to_string = function
-  | Force_abort { site; abort } ->
-      Printf.sprintf "force-abort[%s]@feed:%d" (Abort.class_name abort) site
-  | Corrupt_feed { site } -> Printf.sprintf "corrupt-feed@feed:%d" site
-  | Evict_ucode { call } -> Printf.sprintf "evict-ucode@call:%d" call
-  | Exhaust_fuel { budget } -> Printf.sprintf "exhaust-fuel@%d" budget
+let kind_name = function
+  | Force_abort _ -> "force-abort"
+  | Corrupt_feed _ -> "corrupt-feed"
+  | Evict_ucode _ -> "evict-ucode"
+  | Exhaust_fuel _ -> "exhaust-fuel"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
+let to_string t =
+  kind_name t
+  ^
+  match t with
+  | Force_abort { site; abort } ->
+      Printf.sprintf "[%s]@feed:%d" (Abort.class_name abort) site
+  | Corrupt_feed { site } -> Printf.sprintf "@feed:%d" site
+  | Evict_ucode { call } -> Printf.sprintf "@call:%d" call
+  | Exhaust_fuel { budget } -> Printf.sprintf "@%d" budget
 
 (* --- arming a fault as CPU hooks --- *)
 
@@ -106,13 +114,16 @@ let arm fault =
          judged from the run outcome, not a counter. *)
       { hooks = None; fuel = Some budget; fired = read }
 
-(* --- probing a clean run for the addressable site space --- *)
+let configure armed (config : Cpu.config) =
+  {
+    config with
+    Cpu.faults = armed.hooks;
+    Cpu.fuel = Option.value armed.fuel ~default:config.Cpu.fuel;
+  }
 
-type space = {
-  sp_feeds : int;  (** translator feed events across the whole run *)
-  sp_calls : int;  (** region calls across the whole run *)
-  sp_retired : int;  (** instructions retired by the clean run *)
-}
+(* --- measuring a clean run's addressable site space --- *)
+
+type space = { sp_feeds : int; sp_calls : int; sp_retired : int }
 
 let counting_hooks () =
   let feeds = ref 0 in
@@ -125,4 +136,11 @@ let counting_hooks () =
           None);
     }
   in
-  (hooks, feeds)
+  let space_of (run : Cpu.run) =
+    {
+      sp_feeds = !feeds;
+      sp_calls = run.Cpu.stats.Stats.region_calls;
+      sp_retired = Stats.total_insns run.Cpu.stats;
+    }
+  in
+  (hooks, space_of)

@@ -34,8 +34,6 @@ val junk_mask : Workload.t -> bool array
     workload; treat the shared array as read-only. *)
 
 type fp = { fp_regs : int; fp_mem : int }
-
-val fingerprint : Workload.t -> Image.t -> Cpu.run -> fp
 (** Masked register hash plus [mem_hash] of the data arrays. *)
 
 val reference : Workload.t -> fp

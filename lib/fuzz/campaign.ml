@@ -1,4 +1,5 @@
 open Liquid_scalarize
+open Liquid_workloads
 open Liquid_harness
 module Hist = Liquid_obs.Hist
 module Json = Liquid_obs.Json
@@ -10,8 +11,11 @@ type report = {
   r_faults : bool;
   r_runs : int;
   r_installs : int;
+  r_fault_cells : int;
+  r_faults_fired : int;
+  r_fault_kinds : (string * int) list;
   r_clean : int;
-  r_divergent : (int * Differ.divergence list) list;
+  r_divergent : (int * string * Differ.divergence list) list;
   r_aborts : (string * int) list;
   r_div_hist : (string * int) list;
   r_trip_hist : Hist.t;
@@ -32,20 +36,34 @@ let bump tbl key n =
 let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
 
-let run ?domains ?(faults = true) ~seed ~cases () =
+(* Case [index]: its name, its program — generated, or with [workloads]
+   workload [index mod n]'s — and its fault seed. *)
+let case_of ~workloads ~faults ~seed index =
+  let name, p =
+    match workloads with
+    | [] -> (Gen.case_name ~seed ~index, Gen.generate ~seed ~index)
+    | ws ->
+        let w = List.nth ws (index mod List.length ws) in
+        (w.Workload.name, w.Workload.program)
+  in
+  (name, p, if faults then Some (fault_seed_of ~seed ~index) else None)
+
+let run ?domains ?(workloads = []) ?(faults = true) ~seed ~cases () =
   let one index =
-    let p = Gen.generate ~seed ~index in
-    let fault_seed = if faults then Some (fault_seed_of ~seed ~index) else None in
+    let _, p, fault_seed = case_of ~workloads ~faults ~seed index in
     (trip_counts p, Differ.run_case ?fault_seed p)
   in
   let results = Runner.run_many_result ?domains one (List.init cases Fun.id) in
   let aborts = Hashtbl.create 16 in
   let div_hist = Hashtbl.create 16 in
+  let fault_kinds = Hashtbl.create 4 in
   let trip_hist = Hist.create () in
   let runs = ref 0 and installs = ref 0 and clean = ref 0 in
+  let fault_cells = ref 0 and fired = ref 0 in
   let divergent = ref [] in
   List.iteri
     (fun index result ->
+      let name () = match case_of ~workloads ~faults ~seed index with n, _, _ -> n in
       match result with
       | Error (f : int Runner.failure) ->
           (* a case that crashed the worker is itself a divergence *)
@@ -56,12 +74,17 @@ let run ?domains ?(faults = true) ~seed ~cases () =
             }
           in
           bump div_hist "worker crash" 1;
-          divergent := (index, [ d ]) :: !divergent
+          divergent := (index, name (), [ d ]) :: !divergent
       | Ok (trips, (o : Differ.outcome)) ->
           List.iter (Hist.add trip_hist) trips;
           runs := !runs + o.Differ.o_runs;
           installs := !installs + o.Differ.o_installs;
           List.iter (fun (cls, n) -> bump aborts cls n) o.Differ.o_aborts;
+          List.iter
+            (fun f -> bump fault_kinds (Liquid_faults.Fault.kind_name f) 1)
+            o.Differ.o_fault_cells;
+          fault_cells := !fault_cells + List.length o.Differ.o_fault_cells;
+          fired := !fired + o.Differ.o_faults_fired;
           if o.Differ.o_divergences = [] then incr clean
           else begin
             List.iter
@@ -74,7 +97,7 @@ let run ?domains ?(faults = true) ~seed ~cases () =
                       | k -> k))
                   1)
               o.Differ.o_divergences;
-            divergent := (index, o.Differ.o_divergences) :: !divergent
+            divergent := (index, name (), o.Differ.o_divergences) :: !divergent
           end)
     results;
   {
@@ -83,6 +106,9 @@ let run ?domains ?(faults = true) ~seed ~cases () =
     r_faults = faults;
     r_runs = !runs;
     r_installs = !installs;
+    r_fault_cells = !fault_cells;
+    r_faults_fired = !fired;
+    r_fault_kinds = sorted_bindings fault_kinds;
     r_clean = !clean;
     r_divergent = List.rev !divergent;
     r_aborts = sorted_bindings aborts;
@@ -90,9 +116,8 @@ let run ?domains ?(faults = true) ~seed ~cases () =
     r_trip_hist = trip_hist;
   }
 
-let shrunk_repro ?(faults = true) ~seed ~index () =
-  let p = Gen.generate ~seed ~index in
-  let fault_seed = if faults then Some (fault_seed_of ~seed ~index) else None in
+let shrunk_repro ?(workloads = []) ?(faults = true) ~seed ~index () =
+  let _, p, fault_seed = case_of ~workloads ~faults ~seed index in
   let o = Differ.run_case ?fault_seed p in
   match o.Differ.o_divergences with
   | [] -> None
@@ -111,6 +136,9 @@ let to_json r =
         ("faults", Json.Bool r.r_faults);
         ("runs", Json.Int r.r_runs);
         ("installs", Json.Int r.r_installs);
+        ("fault_cells", Json.Int r.r_fault_cells);
+        ("faults_fired", Json.Int r.r_faults_fired);
+        ("fault_kinds", counts r.r_fault_kinds);
         ("clean_cases", Json.Int r.r_clean);
         ("divergent_cases", Json.Int (List.length r.r_divergent));
         ("abort_classes", counts r.r_aborts);
@@ -119,10 +147,11 @@ let to_json r =
         ( "divergent",
           Json.List
             (List.map
-               (fun (index, divs) ->
+               (fun (index, program, divs) ->
                  Json.Obj
                    [
                      ("case", Json.Int index);
+                     ("program", Json.Str program);
                      ( "failures",
                        Json.List
                          (List.map
@@ -147,34 +176,34 @@ let to_json r =
            (String.concat "; " errs)));
   doc
 
+(* A titled histogram, one "  key count" row per bucket; nothing if empty. *)
+let pp_counts ppf ?(width = 28) title kvs =
+  if kvs <> [] then begin
+    Format.fprintf ppf "%s:@ " title;
+    List.iter (fun (k, n) -> Format.fprintf ppf "  %-*s %d@ " width k n) kvs
+  end
+
 let pp ppf r =
   Format.fprintf ppf
     "@[<v>fuzz campaign seed %d: %d cases (%s), %d runs, %d installs@ \
-     clean %d, divergent %d@ "
+     fault cells %d, fired %d@ clean %d, divergent %d@ "
     r.r_seed r.r_cases
     (if r.r_faults then "with faults" else "no faults")
-    r.r_runs r.r_installs r.r_clean
+    r.r_runs r.r_installs r.r_fault_cells r.r_faults_fired r.r_clean
     (List.length r.r_divergent);
-  if r.r_aborts <> [] then begin
-    Format.fprintf ppf "abort classes:@ ";
-    List.iter
-      (fun (cls, n) -> Format.fprintf ppf "  %-28s %d@ " cls n)
-      r.r_aborts
-  end;
+  pp_counts ppf "abort classes" r.r_aborts;
+  pp_counts ppf "fault kinds" r.r_fault_kinds;
   Format.fprintf ppf "trip counts: %d loops, min %d, max %d, mean %.1f@ "
     (Hist.count r.r_trip_hist)
     (Hist.min_value r.r_trip_hist)
     (Hist.max_value r.r_trip_hist)
     (Hist.mean r.r_trip_hist);
   if r.r_div_hist <> [] then begin
-    Format.fprintf ppf "divergences:@ ";
-    List.iter
-      (fun (k, n) -> Format.fprintf ppf "  %-36s %d@ " k n)
-      r.r_div_hist;
+    pp_counts ppf ~width:36 "divergences" r.r_div_hist;
     Format.fprintf ppf "failing cases:@ ";
     List.iter
-      (fun (index, divs) ->
-        Format.fprintf ppf "  case %d: %s@ " index
+      (fun (index, program, divs) ->
+        Format.fprintf ppf "  case %d (%s): %s@ " index program
           (String.concat ", "
              (List.map
                 (fun (d : Differ.divergence) ->

@@ -14,6 +14,8 @@ type outcome = {
   o_runs : int;
   o_installs : int;
   o_aborts : (string * int) list;
+  o_fault_cells : Fault.t list;
+  o_faults_fired : int;
   o_divergences : divergence list;
 }
 
@@ -30,6 +32,8 @@ type acc = {
   mutable runs : int;
   mutable installs : int;
   aborts : (string, int) Hashtbl.t;
+  mutable fault_cells : Fault.t list;
+  mutable fired : int;
   mutable divs : divergence list;
 }
 
@@ -47,12 +51,17 @@ let record_regions acc (run : Cpu.run) =
 
 type reference = { ref_regs : int; ref_mem : int; mask : bool array }
 
-(* Execute [image] under [config] and compare against the reference
-   fingerprint. [regs_checked] is false for the baseline binary, whose
-   register file legitimately differs (different code layout). *)
-let check acc refc ~label ?(regs_checked = true) image config =
+(* Execute [image] under [config], compare against the reference
+   fingerprint and return the run's result. [regs_checked] is false for
+   the baseline binary, whose register file legitimately differs
+   (different code layout). A watchdog cell ([fuel_cell]) is meant to
+   stop with [Fuel_exhausted]. *)
+let check acc refc ~label ?(regs_checked = true) ?(fuel_cell = false) image
+    config =
   acc.runs <- acc.runs + 1;
-  match Cpu.run_result ~config image with
+  let result = Cpu.run_result ~config image in
+  (match result with
+  | Error { Diag.fault = Diag.Fuel_exhausted; _ } when fuel_cell -> ()
   | Error diag ->
       acc.divs <- { d_label = label; d_kind = K_crash (Diag.to_string diag) } :: acc.divs
   | Ok run ->
@@ -71,9 +80,8 @@ let check acc refc ~label ?(regs_checked = true) image config =
       in
       Option.iter
         (fun k -> acc.divs <- { d_label = label; d_kind = k } :: acc.divs)
-        kind
-
-let engine_label blocks = if blocks then "" else "/noblocks"
+        kind);
+  result
 
 let backends = List.map Backend.kind_of Backend.all
 
@@ -82,21 +90,38 @@ let backends = List.map Backend.kind_of Backend.all
 let liquid_variants ~oracle w =
   List.map (fun backend -> Runner.Liquid { backend; lanes = w; oracle }) backends
 
-let fault_variants =
-  List.concat_map
-    (fun backend ->
-      List.map
-        (fun lanes -> Runner.Liquid { backend; lanes; oracle = false })
-        widths)
-    backends
+(* A fault drawn inside the clean-run site space [sp] of the variant it
+   attacks: a kind with sites there, then a site uniform in them. *)
+let draw_fault rng (sp : Fault.space) =
+  let kinds =
+    List.filter
+      (fun (n, _) -> n > 0)
+      [
+        ( sp.Fault.sp_feeds,
+          fun site ->
+            Fault.Force_abort { site; abort = Fault.Rng.pick rng Abort.all } );
+        (sp.Fault.sp_feeds, fun site -> Fault.Corrupt_feed { site });
+        (sp.Fault.sp_calls, fun call -> Fault.Evict_ucode { call });
+        (sp.Fault.sp_retired, fun budget -> Fault.Exhaust_fuel { budget });
+      ]
+  in
+  let n, make = Fault.Rng.pick rng kinds in
+  make (Fault.Rng.int rng n)
 
-let draw_fault rng =
-  match Fault.Rng.int rng 3 with
-  | 0 ->
-      Fault.Force_abort
-        { site = Fault.Rng.int rng 48; abort = Fault.Rng.pick rng Abort.all }
-  | 1 -> Fault.Corrupt_feed { site = Fault.Rng.int rng 48 }
-  | _ -> Fault.Evict_ucode { call = Fault.Rng.int rng 6 }
+(* One seeded fault cell. It fired when its hook triggered, or, for a
+   watchdog cell, when the run stopped on its budget. *)
+let fault_cell acc refc image variant fault =
+  let armed = Fault.arm fault in
+  let label = Runner.variant_to_string variant ^ "+" ^ Fault.to_string fault in
+  let fuel_cell = armed.Fault.fuel <> None in
+  let config = Fault.configure armed (Runner.config_of variant) in
+  let fired =
+    match check acc refc ~label ~fuel_cell image config with
+    | Error { Diag.fault = Diag.Fuel_exhausted; _ } when fuel_cell -> true
+    | _ -> armed.Fault.fired () > 0
+  in
+  acc.fault_cells <- fault :: acc.fault_cells;
+  if fired then acc.fired <- acc.fired + 1
 
 let finish acc =
   {
@@ -104,11 +129,22 @@ let finish acc =
     o_installs = acc.installs;
     o_aborts =
       List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) acc.aborts []);
+    o_fault_cells = List.rev acc.fault_cells;
+    o_faults_fired = acc.fired;
     o_divergences = List.rev acc.divs;
   }
 
 let run_case ?fault_seed (p : Vloop.program) =
-  let acc = { runs = 0; installs = 0; aborts = Hashtbl.create 8; divs = [] } in
+  let acc =
+    {
+      runs = 0;
+      installs = 0;
+      aborts = Hashtbl.create 8;
+      fault_cells = [];
+      fired = 0;
+      divs = [];
+    }
+  in
   (try
      let liquid = Codegen.liquid p in
      let image = Image.of_program liquid in
@@ -129,52 +165,51 @@ let run_case ?fault_seed (p : Vloop.program) =
          (* the inline-loop baseline binary: same arrays, memory must agree *)
          (try
             let base_image = Image.of_program (Codegen.baseline p) in
-            check acc refc ~label:"baseline" ~regs_checked:false base_image
-              Cpu.scalar_config
+            ignore
+              (check acc refc ~label:"baseline" ~regs_checked:false base_image
+                 Cpu.scalar_config)
           with e ->
             acc.divs <-
               { d_label = "baseline"; d_kind = K_crash (Printexc.to_string e) }
               :: acc.divs);
-         (* fixed, VLA and RVV at every width, block engine on/off *)
+         (* fixed, VLA and RVV at every width, block engine on/off. The
+            engine-off cell counts its feed events, which sizes the
+            variant's fault site space at no extra run (hooks keep the
+            engine off, as [blocks = false] already does). *)
+         let spaces = ref [] in
          List.iter
            (fun w ->
              List.iter
                (fun variant ->
-                 let base_label = Runner.variant_to_string variant in
-                 List.iter
-                   (fun blocks ->
-                     let config = { (Runner.config_of variant) with blocks } in
-                     check acc refc
-                       ~label:(base_label ^ engine_label blocks)
-                       image config)
-                   [ true; false ])
+                 let label = Runner.variant_to_string variant in
+                 let config = Runner.config_of variant in
+                 ignore (check acc refc ~label image config);
+                 let hooks, space_of = Fault.counting_hooks () in
+                 match
+                   check acc refc ~label:(label ^ "/noblocks") image
+                     { config with blocks = false; faults = Some hooks }
+                 with
+                 | Ok run -> spaces := (variant, space_of run) :: !spaces
+                 | Error _ -> ())
                (liquid_variants ~oracle:false w);
              (* oracle translation (microcode ready at first call) *)
              List.iter
                (fun variant ->
-                 check acc refc
-                   ~label:(Runner.variant_to_string variant)
-                   image (Runner.config_of variant))
+                 ignore
+                   (check acc refc
+                      ~label:(Runner.variant_to_string variant)
+                      image (Runner.config_of variant)))
                (liquid_variants ~oracle:true w))
            widths;
-         (* seeded translation-path faults *)
-         (match fault_seed with
-         | None -> ()
-         | Some seed ->
+         (* seeded fault cells on the live variants; one whose engine-off
+            cell crashed has no space, and the case already diverged *)
+         (match (fault_seed, List.rev !spaces) with
+         | None, _ | Some _, [] -> ()
+         | Some seed, spaces ->
              let rng = Fault.Rng.make seed in
              for _ = 1 to 3 do
-               let fault = draw_fault rng in
-               let variant = Fault.Rng.pick rng fault_variants in
-               let armed = Fault.arm fault in
-               let config =
-                 { (Runner.config_of variant) with faults = armed.Fault.hooks }
-               in
-               check acc refc
-                 ~label:
-                   (Printf.sprintf "%s+%s"
-                      (Runner.variant_to_string variant)
-                      (Fault.to_string fault))
-                 image config
+               let variant, sp = Fault.Rng.pick rng spaces in
+               fault_cell acc refc image variant (draw_fault rng sp)
              done)
    with e ->
      acc.divs <-
@@ -199,7 +234,9 @@ let fails_like ?fault_seed sig_ p =
     (run_case ?fault_seed p).o_divergences
 
 let pp_outcome ppf o =
-  Format.fprintf ppf "@[<v>runs %d, installs %d@ " o.o_runs o.o_installs;
+  Format.fprintf ppf "@[<v>runs %d, installs %d, faults fired %d/%d@ " o.o_runs
+    o.o_installs o.o_faults_fired
+    (List.length o.o_fault_cells);
   List.iter
     (fun (cls, n) -> Format.fprintf ppf "abort %-24s %d@ " cls n)
     o.o_aborts;

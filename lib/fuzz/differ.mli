@@ -1,11 +1,15 @@
-(** The cross-product differential oracle for one generated program.
+(** The cross-product differential oracle for one program, generated
+    or a workload's.
 
     One case fans out into 41 simulations of the {e same} Liquid binary
     — pure scalar (the reference), fixed-width, VLA and RVV accelerators
     at widths 2/4/8/16, each with the block engine (trace-superblock
     tier included) on and off, all three oracle-translation flavours,
-    and three seeded translation-path faults — plus the inline-loop
-    baseline binary. Every accelerated run must reproduce the reference's
+    and three seeded fault cells — plus the inline-loop baseline
+    binary. A fault cell attacks one live variant with any
+    {!Liquid_faults.Fault.t} at a site inside that variant's clean run,
+    whose {!Liquid_faults.Fault.space} its block-engine-off cell
+    measures as it runs. Every accelerated run must reproduce the reference's
     architectural state: all of data memory byte-for-byte and every
     register outside the image's dead-scratch mask
     ({!Liquid_faults.Oracle.mask_of_image}). *)
@@ -27,6 +31,11 @@ type outcome = {
   o_installs : int;  (** regions that completed translation, summed *)
   o_aborts : (string * int) list;
       (** translation-abort class histogram ({!Liquid_translate.Abort.class_name}) *)
+  o_fault_cells : Liquid_faults.Fault.t list;
+      (** the faults the case injected, in draw order *)
+  o_faults_fired : int;
+      (** fault cells whose fault triggered: its hook fired, or a
+          watchdog cell stopped on its budget *)
   o_divergences : divergence list;  (** empty = the case is clean *)
 }
 
@@ -35,11 +44,11 @@ val widths : int list
 
 val run_case : ?fault_seed:int -> Vloop.program -> outcome
 (** Run the whole matrix on one program. [fault_seed] additionally runs
-    three seeded translation-path faults (forced abort, corrupted feed,
-    microcode eviction) on randomly drawn variants; omit it for a
-    fault-free matrix (the shrinker does, unless reproducing a
-    fault-dependent bug). Never raises: generation-to-run failures
-    surface as [K_crash] divergences. *)
+    the three seeded fault cells; omit it for a fault-free matrix (the
+    shrinker does, unless reproducing a fault-dependent bug). A watchdog
+    cell's [Fuel_exhausted] stop is its expected outcome, not a
+    divergence. Never raises: generation-to-run failures surface as
+    [K_crash] divergences. *)
 
 val diverging : ?fault_seed:int -> Vloop.program -> bool
 (** [run_case] compressed to the shrinker's predicate: does any cell of

@@ -134,6 +134,8 @@ let fuzz_report (j : Json.t) =
      f "faults" T_bool;
      f "runs" T_int;
      f "installs" T_int;
+     f "fault_cells" T_int;
+     f "faults_fired" T_int;
      f "clean_cases" T_int;
      f "divergent_cases" T_int;
      (* count objects: every member must be an int *)
@@ -148,7 +150,7 @@ let fuzz_report (j : Json.t) =
                        errs := Printf.sprintf "%s.%s: expected int" name k :: !errs)
                    kvs
              | _ -> ()))
-       [ "abort_classes"; "divergences" ];
+       [ "abort_classes"; "fault_kinds"; "divergences" ];
      field errs "document" j "trip_counts" T_obj (fun h ->
          check_hist errs "trip_counts" h);
      field errs "document" j "divergent" T_list (fun v ->
@@ -159,6 +161,7 @@ let fuzz_report (j : Json.t) =
                  let path = Printf.sprintf "divergent[%d]" i in
                  if has_ty T_obj c then (
                    field errs path c "case" T_int (fun _ -> ());
+                   field errs path c "program" T_str (fun _ -> ());
                    field errs path c "failures" T_list (fun v ->
                        match v with
                        | Json.List fs ->

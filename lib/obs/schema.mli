@@ -14,6 +14,6 @@ val snapshot : Json.t -> string list
 
 val fuzz_report : Json.t -> string list
 (** Validates a fuzzing-campaign report
-    (schema ["liquid-fuzz-report/1"]): case accounting, the abort-class
-    and divergence count objects, the trip-count histogram, and the
-    per-case failure list. *)
+    (schema ["liquid-fuzz-report/1"]): case and fault-cell accounting,
+    the abort-class, fault-kind and divergence count objects, the
+    trip-count histogram, and the per-case failure list. *)

@@ -43,8 +43,8 @@ type fault_hooks = {
           one (a decode glitch on the translation path only — the
           executed stream is untouched) *)
   fh_evict : entry:int -> call:int -> bool;
-      (** consulted before each microcode-cache lookup with the global
-          region-call index; [true] evicts the region's entry first *)
+      (** consulted before each microcode-cache lookup with the run's
+          0-based region-call index; [true] evicts the entry first *)
 }
 
 type config = {
@@ -550,7 +550,8 @@ let guards_ok st (u : Ucode.t) =
 let region_call st ~pc ~target =
   let acc = region_acc st target in
   let now = st.stats.Stats.cycles in
-  st.stats.Stats.region_calls <- st.stats.Stats.region_calls + 1;
+  let call = st.stats.Stats.region_calls in
+  st.stats.Stats.region_calls <- call + 1;
   let oracle_u =
     match oracle_lookup st target with
     | Some u when not (guards_ok st u) ->
@@ -575,7 +576,7 @@ let region_call st ~pc ~target =
          region runs in scalar form and retranslates. *)
       (match st.cfg.faults with
       | Some f
-        when f.fh_evict ~entry:target ~call:st.stats.Stats.region_calls ->
+        when f.fh_evict ~entry:target ~call ->
           ignore (Ucode_cache.evict st.ucache ~key:target)
       | Some _ | None -> ());
       match

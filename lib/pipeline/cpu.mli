@@ -53,7 +53,7 @@ type fault_hooks = {
           feeds an untranslatable instruction in its place (a decode
           glitch visible only to the translator) *)
   fh_evict : entry:int -> call:int -> bool;
-      (** before each microcode-cache lookup, with the global
+      (** before each microcode-cache lookup, with the run's 0-based
           region-call index; [true] evicts the entry first *)
 }
 

@@ -63,6 +63,28 @@ let check_arrays = Alcotest.(check (array int))
 let regs_hash = Liquid_faults.Fingerprint.regs_hash
 let mem_hash = Liquid_faults.Fingerprint.mem_hash
 
+(* Fault injection on a workload's Liquid binary at [width] lanes. *)
+module Fault = Liquid_faults.Fault
+
+let fault_image (w : Liquid_workloads.Workload.t) ~width =
+  Image.of_program (Liquid_harness.Runner.program_of w (liquid width))
+
+(* The fault site space of one clean run, measured with counting hooks. *)
+let fault_space w ~width =
+  let hooks, space_of = Fault.counting_hooks () in
+  space_of
+    (Cpu.run
+       ~config:{ (Cpu.liquid_config ~lanes:width) with Cpu.faults = Some hooks }
+       (fault_image w ~width))
+
+(* Arm [fault] and run it: the image, the armed fault (for [fired]) and
+   the run's result. *)
+let run_fault w ~width fault =
+  let image = fault_image w ~width in
+  let armed = Fault.arm fault in
+  let config = Fault.configure armed (Cpu.liquid_config ~lanes:width) in
+  (image, armed, Cpu.run_result ~config image)
+
 (* The engine differentials' contract: two runs of the same image, one
    through the block engine and its superblock tier, one stepping, agree
    observable by observable. The cycle counter first and by name: it

@@ -22,9 +22,8 @@
    Separate cases cover the fidelity fallbacks: an interrupt-driven run
    (epoch catch-up across block stretches; sessions step), the engine's
    self-disable under fault hooks and trace observers (per-step
-   observation must win over speed; no block or superblock runs), and a
-   seeded fault campaign run end-to-end with the engine left at its
-   default. The superblock tier's own edge cases (formation threshold,
+   observation must win over speed; no block or superblock runs). The
+   superblock tier's own edge cases (formation threshold,
    guard re-entry, failed formation, fuel mid-trace) are in
    [Suite_superblocks]. *)
 
@@ -338,13 +337,6 @@ let test_latencies_match_collector () =
 
 (* --- fidelity self-disable --- *)
 
-let noop_hooks =
-  {
-    Cpu.fh_abort = (fun ~entry:_ ~observed:_ -> None);
-    fh_corrupt = (fun ~entry:_ ~observed:_ -> false);
-    fh_evict = (fun ~entry:_ ~call:_ -> false);
-  }
-
 (* Telemetry of a run the engine never touched: no block, no superblock. *)
 let check_engine_idle what (r : Cpu.run) =
   List.iter
@@ -371,7 +363,7 @@ let test_self_disable () =
     "superblock tier on by default" true
     (plain.Cpu.superblocks_compiled > 0);
   let faulted =
-    Cpu.run ~config:{ config with Cpu.faults = Some noop_hooks } image
+    Cpu.run ~config:{ config with Cpu.faults = Some Liquid_faults.Fault.no_hooks } image
   in
   check_engine_idle "fault hooks disable the engine" faulted;
   Helpers.check_identical "GSM Dec./noop-fault-hooks" plain faulted;
@@ -383,21 +375,6 @@ let test_self_disable () =
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
   check_engine_idle "blocks=false builds no engine" off
 
-(* The fault campaign runs with the config's default [blocks = true], so
-   the block engine and its superblock tier are both on: every injected
-   case must still degrade to the scalar-identical state, because the
-   campaign's hooks force the whole engine off underneath it. *)
-let test_fault_campaign () =
-  let w =
-    match Workload.find "FIR" with Some w -> w | None -> assert false
-  in
-  let report =
-    Liquid_faults.Campaign.run ~workloads:[ w ] ~widths:[ 8 ] ~seed:2007 ()
-  in
-  Alcotest.(check bool)
-    "campaign survives with the engine and tier at their default" true
-    (Liquid_faults.Campaign.survived report)
-
 let tests =
   List.map
     (fun (w : Workload.t) ->
@@ -408,8 +385,6 @@ let tests =
   @ [
       Alcotest.test_case "interrupt epoch catch-up" `Quick test_interrupts;
       Alcotest.test_case "fidelity self-disable" `Quick test_self_disable;
-      Alcotest.test_case "fault campaign at default config" `Quick
-        test_fault_campaign;
       Alcotest.test_case "session trip counts" `Quick test_session_trips;
       Alcotest.test_case "session abort mid-verify" `Quick
         test_session_abort_mid_verify;

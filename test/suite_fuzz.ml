@@ -27,6 +27,11 @@ let test_corpus_clean () =
         true (o.Fuzz.Differ.o_installs > 0))
     Fuzz_corpus.Corpus.cases
 
+let mentions sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let campaign_cases () =
   match Sys.getenv_opt "LIQUID_FUZZ_CASES" with
   | Some n -> (
@@ -44,12 +49,24 @@ let test_mini_campaign () =
   | [] -> ()
   | l ->
       Alcotest.failf "divergent cases: %s"
-        (String.concat ", " (List.map (fun (i, _) -> string_of_int i) l)));
+        (String.concat ", " (List.map (fun (i, _, _) -> string_of_int i) l)));
   (* matrix accounting: 38 fault-free runs per case (scalar reference,
      baseline, and per width the three backends x block engine on/off
      plus three oracles) plus 3 seeded fault runs, and the
      clean/divergent split partitions the cases *)
   check_int "runs per case" (cases * 41) r.Campaign.r_runs;
+  (* every fault cell draws its site inside the run it attacks, so every
+     one fires, and every kind gets drawn *)
+  check_int "fault cells" (cases * 3) r.Campaign.r_fault_cells;
+  check_int "faults fired" (cases * 3) r.Campaign.r_faults_fired;
+  check (Alcotest.list Alcotest.string) "fault kinds drawn"
+    [ "corrupt-feed"; "evict-ucode"; "exhaust-fuel"; "force-abort" ]
+    (List.map fst r.Campaign.r_fault_kinds);
+  Alcotest.(check bool)
+    "no watchdog cell diverged" false
+    (List.exists
+       (fun (k, _) -> mentions "+exhaust-fuel@" k)
+       r.Campaign.r_div_hist);
   check_int "clean + divergent = cases" cases
     (r.Campaign.r_clean + List.length r.Campaign.r_divergent);
   check_int "divergence histogram is empty" 0

@@ -3,8 +3,8 @@
    Unit tests for the lib/obs building blocks (JSON tree + parser,
    power-of-two histograms, packed ring buffer), then the heavyweight guarantee: the conservation
    invariants of [Snapshot.violations] hold for every workload at every
-   accelerator width under baseline, Liquid, oracle-translation and a
-   seeded fault campaign. Any counter that acquires a second writer —
+   accelerator width under baseline, Liquid, oracle-translation and
+   seeded fault injection. Any counter that acquires a second writer —
    the dual eviction bookkeeping this PR removed, for instance — fails
    here on every row at once. *)
 
@@ -191,38 +191,49 @@ let test_invariant_matrix () =
     (List.length results);
   List.iter (fun (label, problems) -> check_case label problems) results
 
-(* Fixed-seed fault campaign: the invariants must also hold while the
-   translation path is being actively attacked (forced aborts, corrupted
-   feeds, mid-run evictions). Runs stopped by the fuel watchdog return
-   [Error] and have no final counters to check; they are skipped. *)
+(* Fixed-seed fault targets: the invariants must also hold while the
+   translation path is being actively attacked. Every workload at width
+   8 gets every abort class, a corrupted feed, a mid-run eviction and a
+   watchdog budget, each at a seeded site inside its clean run's space.
+   Runs stopped by the fuel watchdog return [Error] and have no final
+   counters to check; they are skipped. *)
 let test_fault_campaign_invariants () =
   let module F = Liquid_faults.Fault in
-  let module C = Liquid_faults.Campaign in
-  let targets = C.plan ~widths:[ 8 ] ~seed:2007 () in
-  Alcotest.(check bool) "campaign has cases" true (targets <> []);
+  let width = 8 in
+  let rng = F.Rng.make 2007 in
+  let targets =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        let sp = Helpers.fault_space w ~width in
+        let site n = F.Rng.int rng n in
+        List.map
+          (fun abort -> F.Force_abort { site = site sp.F.sp_feeds; abort })
+          Liquid_translate.Abort.all
+        @ [
+            F.Corrupt_feed { site = site sp.F.sp_feeds };
+            F.Evict_ucode { call = site sp.F.sp_calls };
+            F.Exhaust_fuel { budget = site sp.F.sp_retired };
+          ]
+        |> List.map (fun f -> (w, f)))
+      (Workload.all ())
+  in
+  Alcotest.(check int)
+    "every workload x every kind, every abort class"
+    (List.length (Workload.all ()) * (List.length Liquid_translate.Abort.all + 3))
+    (List.length targets);
   let results =
     Runner.run_many
-      (fun (t : C.target) ->
+      (fun ((w : Workload.t), fault) ->
         let label =
-          Printf.sprintf "%s / width %d / %s" t.C.t_workload.Workload.name
-            t.C.t_width (F.to_string t.C.t_fault)
+          Printf.sprintf "%s / width %d / %s" w.Workload.name width
+            (F.to_string fault)
         in
-        let program = Runner.program_of t.C.t_workload (Helpers.liquid t.C.t_width) in
-        let armed = F.arm t.C.t_fault in
-        let base = Cpu.liquid_config ~lanes:t.C.t_width in
-        let config =
-          {
-            base with
-            Cpu.faults = armed.F.hooks;
-            Cpu.fuel = Option.value armed.F.fuel ~default:base.Cpu.fuel;
-          }
-        in
-        match Cpu.run_result ~config (Image.of_program program) with
-        | Error _ -> (label, [])
-        | Ok run ->
+        match Helpers.run_fault w ~width fault with
+        | _, _, Error _ -> (label, [])
+        | _, _, Ok run ->
             let snap =
-              Snapshot.of_run ~label:t.C.t_workload.Workload.name
-                ~variant:"liquid/faulted" run
+              Snapshot.of_run ~label:w.Workload.name ~variant:"liquid/faulted"
+                run
             in
             (label, Snapshot.violations snap @ explicit_mirror_mismatches run))
       targets
