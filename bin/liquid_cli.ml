@@ -264,12 +264,13 @@ let translate_cmd =
 
 (* --- report: the paper's tables/figures, or one workload's snapshot --- *)
 
-(* [report <workload>] runs the workload once with a Liquid_obs collector
-   attached and prints the full observability snapshot as schema-valid
-   JSON (stats, unit counters, per-region timelines, translation-latency
-   and inter-call-gap histograms, invariant verdict). Any conservation
+(* [report <workload>] runs the workload once and prints the full
+   observability snapshot of its run record as schema-valid JSON (stats,
+   unit counters, per-region timelines, translation-latency and
+   inter-call-gap histograms, invariant verdict). Any conservation
    violation is printed to stderr and exits non-zero — the same checks
-   the test suite runs, available against a live machine. *)
+   the test suite runs, available against a live machine. Only [--jsonl]
+   attaches a trace collector, which makes that run step. *)
 let report_snapshot (w : Workload.t) variant jsonl_path csv_dir =
   match Runner.program_of w variant with
   | exception Liquid_scalarize.Codegen.Unsupported_width m ->
@@ -277,15 +278,19 @@ let report_snapshot (w : Workload.t) variant jsonl_path csv_dir =
       exit 1
   | program ->
       let jsonl_oc = Option.map open_out jsonl_path in
-      let collector = Liquid_obs.Collector.create ?jsonl:jsonl_oc () in
       let config =
-        Liquid_obs.Collector.wrap collector (machine_config variant)
+        match jsonl_oc with
+        | None -> machine_config variant
+        | Some oc ->
+            Liquid_obs.Collector.wrap
+              (Liquid_obs.Collector.create ~jsonl:oc)
+              (machine_config variant)
       in
       let run = Cpu.run ~config (Image.of_program program) in
       Option.iter close_out jsonl_oc;
       let snap =
         Liquid_obs.Snapshot.of_run ~label:w.name
-          ~variant:(Runner.variant_name variant) ~collector run
+          ~variant:(Runner.variant_name variant) run
       in
       let json = Liquid_obs.Snapshot.to_json snap in
       (match Liquid_obs.Schema.snapshot json with
@@ -362,7 +367,8 @@ let report_cmd =
           ~doc:
             "Workload-snapshot mode: stream region-level trace events \
              (calls, translations, aborts) to $(docv), one JSON object per \
-             line.")
+             line. The trace observer makes the run step instruction by \
+             instruction, so its superblocks counters read 0.")
   in
   let run which csv_dir variant jsonl_path =
     let all = which = None in

@@ -28,7 +28,7 @@ end
 
 (* --- the fault taxonomy --- *)
 
-type t =
+type t = Liquid_pipeline.Fault.t =
   | Force_abort of { site : int; abort : Abort.t }
   | Corrupt_feed of { site : int }
   | Evict_ucode of { call : int }
@@ -50,97 +50,13 @@ let to_string t =
   | Evict_ucode { call } -> Printf.sprintf "@call:%d" call
   | Exhaust_fuel { budget } -> Printf.sprintf "@%d" budget
 
-(* --- arming a fault as CPU hooks --- *)
-
-type armed = {
-  hooks : Cpu.fault_hooks option;
-  fuel : int option;
-  fired : unit -> int;
-}
-
-let no_hooks =
-  {
-    Cpu.fh_abort = (fun ~entry:_ ~observed:_ -> None);
-    Cpu.fh_corrupt = (fun ~entry:_ ~observed:_ -> false);
-    Cpu.fh_evict = (fun ~entry:_ ~call:_ -> false);
-  }
-
-(* Each armed fault closes over its own feed/call counters, so the
-   trigger site is a global index across every translation session of
-   the run — "the Nth instruction the translator ever observes" — which
-   addresses arbitrary DFA states without the core knowing the plan. *)
-let arm fault =
-  let fired = ref 0 in
-  let read () = !fired in
-  match fault with
-  | Force_abort { site; abort } ->
-      let feeds = ref 0 in
-      let hook ~entry:_ ~observed:_ =
-        let i = !feeds in
-        incr feeds;
-        if i = site then begin
-          incr fired;
-          Some abort
-        end
-        else None
-      in
-      { hooks = Some { no_hooks with Cpu.fh_abort = hook }; fuel = None;
-        fired = read }
-  | Corrupt_feed { site } ->
-      let feeds = ref 0 in
-      let hook ~entry:_ ~observed:_ =
-        let i = !feeds in
-        incr feeds;
-        if i = site then begin
-          incr fired;
-          true
-        end
-        else false
-      in
-      { hooks = Some { no_hooks with Cpu.fh_corrupt = hook }; fuel = None;
-        fired = read }
-  | Evict_ucode { call } ->
-      let hook ~entry:_ ~call:c =
-        if c = call then begin
-          incr fired;
-          true
-        end
-        else false
-      in
-      { hooks = Some { no_hooks with Cpu.fh_evict = hook }; fuel = None;
-        fired = read }
-  | Exhaust_fuel { budget } ->
-      (* No hook: the watchdog itself is the injection point. "Fired" is
-         judged from the run outcome, not a counter. *)
-      { hooks = None; fuel = Some budget; fired = read }
-
-let configure armed (config : Cpu.config) =
-  {
-    config with
-    Cpu.faults = armed.hooks;
-    Cpu.fuel = Option.value armed.fuel ~default:config.Cpu.fuel;
-  }
-
-(* --- measuring a clean run's addressable site space --- *)
+(* --- the addressable site space of a clean run --- *)
 
 type space = { sp_feeds : int; sp_calls : int; sp_retired : int }
 
-let counting_hooks () =
-  let feeds = ref 0 in
-  let hooks =
-    {
-      no_hooks with
-      Cpu.fh_abort =
-        (fun ~entry:_ ~observed:_ ->
-          incr feeds;
-          None);
-    }
-  in
-  let space_of (run : Cpu.run) =
-    {
-      sp_feeds = !feeds;
-      sp_calls = run.Cpu.stats.Stats.region_calls;
-      sp_retired = Stats.total_insns run.Cpu.stats;
-    }
-  in
-  (hooks, space_of)
+let space_of (run : Cpu.run) =
+  {
+    sp_feeds = run.Cpu.feed_events;
+    sp_calls = run.Cpu.stats.Stats.region_calls;
+    sp_retired = Stats.total_insns run.Cpu.stats;
+  }

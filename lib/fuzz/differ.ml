@@ -108,17 +108,18 @@ let draw_fault rng (sp : Fault.space) =
   let n, make = Fault.Rng.pick rng kinds in
   make (Fault.Rng.int rng n)
 
-(* One seeded fault cell. It fired when its hook triggered, or, for a
-   watchdog cell, when the run stopped on its budget. *)
+(* One seeded fault cell on the engine the variant runs by default. It
+   fired when the run reached its site, or, for a watchdog cell, when
+   the run stopped on its budget. *)
 let fault_cell acc refc image variant fault =
-  let armed = Fault.arm fault in
   let label = Runner.variant_to_string variant ^ "+" ^ Fault.to_string fault in
-  let fuel_cell = armed.Fault.fuel <> None in
-  let config = Fault.configure armed (Runner.config_of variant) in
+  let fuel_cell = match fault with Fault.Exhaust_fuel _ -> true | _ -> false in
+  let config = { (Runner.config_of variant) with Cpu.fault = Some fault } in
   let fired =
     match check acc refc ~label ~fuel_cell image config with
-    | Error { Diag.fault = Diag.Fuel_exhausted; _ } when fuel_cell -> true
-    | _ -> armed.Fault.fired () > 0
+    | Error { Diag.fault = Diag.Fuel_exhausted; _ } -> fuel_cell
+    | Error _ -> false
+    | Ok run -> run.Cpu.fault_fired
   in
   acc.fault_cells <- fault :: acc.fault_cells;
   if fired then acc.fired <- acc.fired + 1
@@ -173,9 +174,8 @@ let run_case ?fault_seed (p : Vloop.program) =
               { d_label = "baseline"; d_kind = K_crash (Printexc.to_string e) }
               :: acc.divs);
          (* fixed, VLA and RVV at every width, block engine on/off. The
-            engine-off cell counts its feed events, which sizes the
-            variant's fault site space at no extra run (hooks keep the
-            engine off, as [blocks = false] already does). *)
+            engine-off cell's run record sizes the variant's fault site
+            space at no extra run. *)
          let spaces = ref [] in
          List.iter
            (fun w ->
@@ -184,12 +184,11 @@ let run_case ?fault_seed (p : Vloop.program) =
                  let label = Runner.variant_to_string variant in
                  let config = Runner.config_of variant in
                  ignore (check acc refc ~label image config);
-                 let hooks, space_of = Fault.counting_hooks () in
                  match
                    check acc refc ~label:(label ^ "/noblocks") image
-                     { config with blocks = false; faults = Some hooks }
+                     { config with blocks = false }
                  with
-                 | Ok run -> spaces := (variant, space_of run) :: !spaces
+                 | Ok run -> spaces := (variant, Fault.space_of run) :: !spaces
                  | Error _ -> ())
                (liquid_variants ~oracle:false w);
              (* oracle translation (microcode ready at first call) *)

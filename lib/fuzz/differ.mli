@@ -8,8 +8,9 @@
     and three seeded fault cells — plus the inline-loop baseline
     binary. A fault cell attacks one live variant with any
     {!Liquid_faults.Fault.t} at a site inside that variant's clean run,
-    whose {!Liquid_faults.Fault.space} its block-engine-off cell
-    measures as it runs. Every accelerated run must reproduce the reference's
+    whose {!Liquid_faults.Fault.space} is read off its block-engine-off
+    cell's run record; the fault cell itself runs on the block engine,
+    as the variant does by default. Every accelerated run must reproduce the reference's
     architectural state: all of data memory byte-for-byte and every
     register outside the image's dead-scratch mask
     ({!Liquid_faults.Oracle.mask_of_image}). *)
@@ -34,8 +35,9 @@ type outcome = {
   o_fault_cells : Liquid_faults.Fault.t list;
       (** the faults the case injected, in draw order *)
   o_faults_fired : int;
-      (** fault cells whose fault triggered: its hook fired, or a
-          watchdog cell stopped on its budget *)
+      (** fault cells whose fault triggered: the run reached its site
+          ({!Liquid_pipeline.Cpu.run.fault_fired}), or a watchdog cell
+          stopped on its budget *)
   o_divergences : divergence list;  (** empty = the case is clean *)
 }
 

@@ -206,9 +206,9 @@ let run_many ?domains f items =
     (function Ok r -> r | Error { f_exn; _ } -> raise f_exn)
     (run_many_result ?domains f items)
 
-let snapshot ?collector { variant; program; run } =
+let snapshot { variant; program; run } =
   Liquid_obs.Snapshot.of_run ~label:program.Program.name
-    ~variant:(variant_name variant) ?collector run
+    ~variant:(variant_name variant) run
 
 let speedup ~(baseline : Cpu.run) (run : Cpu.run) =
   float_of_int baseline.Cpu.stats.Liquid_machine.Stats.cycles

@@ -113,10 +113,9 @@ val run_many : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     the first failing item's exception (in input order) after the pool
     drains. *)
 
-val snapshot : ?collector:Liquid_obs.Collector.t -> result -> Liquid_obs.Snapshot.t
+val snapshot : result -> Liquid_obs.Snapshot.t
 (** Fold the result into an observability snapshot, labeled with the
-    program name and {!variant_name}. Pass the [collector] that
-    observed the run to populate the translation-latency histogram. *)
+    program name and {!variant_name}. *)
 
 val speedup : baseline:Cpu.run -> Cpu.run -> float
 (** [baseline.cycles / run.cycles]. *)

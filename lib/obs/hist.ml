@@ -31,17 +31,6 @@ let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = t.max_v
 let mean t = if t.n = 0 then 0.0 else float_of_int t.sum /. float_of_int t.n
 
-let merge acc x =
-  if Array.length acc.counts <> Array.length x.counts then
-    invalid_arg "Hist.merge: bucket counts differ";
-  Array.iteri (fun i c -> acc.counts.(i) <- acc.counts.(i) + c) x.counts;
-  acc.n <- acc.n + x.n;
-  acc.sum <- acc.sum + x.sum;
-  if x.n > 0 then begin
-    if x.min_v < acc.min_v then acc.min_v <- x.min_v;
-    if x.max_v > acc.max_v then acc.max_v <- x.max_v
-  end
-
 let bounds i =
   if i = 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
 

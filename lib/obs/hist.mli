@@ -2,8 +2,7 @@
 
     Bucket 0 holds the value 0; bucket [k > 0] holds
     [[2^(k-1), 2^k - 1]]; the last bucket absorbs everything above the
-    range. [add] touches only preallocated state — safe to call from a
-    simulation hot path (the {!Collector} trace hook). *)
+    range. [add] touches only preallocated state. *)
 
 type t
 
@@ -23,10 +22,6 @@ val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
 (** 0.0 when empty. *)
-
-val merge : t -> t -> unit
-(** [merge acc x] accumulates [x]'s buckets into [acc]; the two must
-    have the same bucket count. *)
 
 val iter_buckets : t -> (lo:int -> hi:int -> count:int -> unit) -> unit
 (** Visit non-empty buckets in increasing order with their inclusive

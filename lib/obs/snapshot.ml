@@ -1,7 +1,13 @@
 open Liquid_machine
 open Liquid_pipeline
 
-type counter = { section : string; key : string; doc : string; get : Cpu.run -> int }
+type counter = {
+  section : string;
+  key : string;
+  doc : string;
+  get : Cpu.run -> int;
+  engine : bool;
+}
 
 let name c = c.section ^ "." ^ c.key
 
@@ -13,8 +19,8 @@ let cache_units =
   ]
 
 let registry =
-  let section name fields =
-    List.map (fun (key, doc, get) -> { section = name; key; doc; get }) fields
+  let section ?(engine = false) name fields =
+    List.map (fun (key, doc, get) -> { section = name; key; doc; get; engine }) fields
   in
   let cache (name, unit_of) =
     let read f r = Option.fold ~none:0 ~some:f (unit_of r) in
@@ -47,7 +53,7 @@ let registry =
         ("max_occupancy", "high-water mark of resident entries",
           ucache (fun u -> u.Ucode_cache.u_max_occupancy));
       ]
-  @ section "superblocks"
+  @ section ~engine:true "superblocks"
       [
         ("compiled", "trace superblocks formed", fun r -> r.Cpu.superblocks_compiled);
         ("iterations", "whole loop iterations run through one", fun r -> r.Cpu.superblock_iters);
@@ -139,7 +145,7 @@ let region_of_report (r : Cpu.region_report) =
     r_uops = uops;
   }
 
-let of_run ?(label = "run") ?(variant = "unknown") ?collector (run : Cpu.run) =
+let of_run ?(label = "run") ?(variant = "unknown") (run : Cpu.run) =
   let gap = Hist.create () in
   List.iter
     (fun (r : Cpu.region_report) ->
@@ -159,7 +165,7 @@ let of_run ?(label = "run") ?(variant = "unknown") ?collector (run : Cpu.run) =
       | _ -> ())
     run.Cpu.regions;
   let latency = Hist.create () in
-  Option.iter (fun c -> Hist.merge latency (Collector.translation_latency c)) collector;
+  List.iter (Hist.add latency) run.Cpu.translation_latencies;
   let values = Array.make (List.length registry) None in
   List.iteri (fun i c -> values.(i) <- Some (c.get run)) registry;
   List.iter

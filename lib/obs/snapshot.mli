@@ -28,6 +28,10 @@ type counter = {
   key : string;  (** its key within the section *)
   doc : string;  (** what it measures *)
   get : Cpu.run -> int;  (** how to read it off a finished run *)
+  engine : bool;
+      (** telemetry of the block engine itself (the [superblocks]
+          section): the only counters in which a [blocks = false] run
+          may differ from the default one *)
 }
 
 val registry : counter list
@@ -66,8 +70,7 @@ type t = {
   s_regions : region list;
   s_latency_hist : Hist.t;
       (** translation latency in cycles, one sample per completed
-          translation; populated only when a {!Collector} observed the
-          run (empty otherwise) *)
+          translation ({!Liquid_pipeline.Cpu.run.translation_latencies}) *)
   s_gap_hist : Hist.t;
       (** inter-call gap in cycles — [start(k+1) - end(k)] over each
           region's consecutive executions (paper Table 6's measure) *)
@@ -77,8 +80,9 @@ type t = {
 val histograms : (string * (t -> Hist.t)) list
 (** The histograms by document name, in document order. *)
 
-val of_run :
-  ?label:string -> ?variant:string -> ?collector:Collector.t -> Cpu.run -> t
+val of_run : ?label:string -> ?variant:string -> Cpu.run -> t
+(** Everything comes from the run record, so a snapshot describes the
+    run as it executed — on the block engine by default. *)
 
 val invariants : (string * (t -> string option)) list
 (** The named conservation invariants, in check order. Each is a

@@ -34,9 +34,9 @@
     The engine is an execution strategy, not a semantics change: every
     architectural value and every counter is bit-identical to the
     step-by-step engine. {!Cpu} only dispatches here when fidelity
-    permits — no trace consumer, no fault hooks, no interrupts while a
-    session is live, and enough fuel for the whole block — and falls
-    back to [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
+    permits — no trace consumer, no interrupts while a session is live,
+    no armed feed fault inside a verify iteration, and enough fuel for
+    the whole block — and falls back to [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
     the partial per-step accounting before re-raising, so escaping
     diagnostics also match. *)
 

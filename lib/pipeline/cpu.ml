@@ -30,23 +30,6 @@ type translation_kind =
 
 type translation = { cycles_per_insn : int; kind : translation_kind }
 
-(* Fault-injection hooks (see {!Liquid_faults}): each is consulted at a
-   well-defined point of the pipeline and closes over its own trigger
-   state, so the core stays oblivious to the injection plan. *)
-type fault_hooks = {
-  fh_abort : entry:int -> observed:int -> Abort.t option;
-      (** consulted after each event fed to a live translation session;
-          [Some a] forces the session to abort with [a] *)
-  fh_corrupt : entry:int -> observed:int -> bool;
-      (** consulted before each event fed to a live translation session;
-          [true] replaces the event's instruction with an untranslatable
-          one (a decode glitch on the translation path only — the
-          executed stream is untouched) *)
-  fh_evict : entry:int -> call:int -> bool;
-      (** consulted before each microcode-cache lookup with the run's
-          0-based region-call index; [true] evicts the entry first *)
-}
-
 type config = {
   accel_lanes : int option;
   translator : translation option;
@@ -63,7 +46,7 @@ type config = {
   ucode_entries : int;
   max_uops : int;
   fuel : int;
-  faults : fault_hooks option;
+  fault : Fault.t option;
   blocks : bool;
 }
 
@@ -84,7 +67,7 @@ let scalar_config =
     ucode_entries = 8;
     max_uops = 64;
     fuel = 200_000_000;
-    faults = None;
+    fault = None;
     blocks = true;
   }
 
@@ -134,6 +117,8 @@ type run = {
   tbl_index_builds : int;
   session_iters_compiled : int;
   translation_latencies : int list;
+  feed_events : int;
+  fault_fired : bool;
 }
 
 type racc = {
@@ -200,12 +185,17 @@ type state = {
          session's [Translator.perm_tally] *)
   eng : Blocks.t option;
       (* the translation-block engine; [None] when disabled by config or
-         when fidelity demands stepping throughout (trace consumer or
-         fault hooks attached) *)
+         when a trace consumer demands stepping throughout *)
   mutable session_iters : int;
       (* verify iterations run through the engine's observed bodies *)
   mutable latencies_rev : int list;
       (* [T_translation] latency of every completed translation *)
+  mutable feeds : int;
+      (* events offered to a live session so far, failed ones included *)
+  mutable feed_site : int;
+      (* the armed fault's feed event, [max_int] when none is armed or
+         once it fired: the engine's one comparison per verify iteration *)
+  mutable fired : bool;
 }
 
 let charge st c = st.stats.Stats.cycles <- st.stats.Stats.cycles + c
@@ -368,20 +358,23 @@ let poison_insn = Insn.Bl { target = 0; region = false }
    the region branch-and-link that just opened a session is not part of
    the region's own retirement stream. The destination value is read
    from the context scratch effect. Once the translator has failed it
-   ignores every event, so none is built; the fault hooks are still
-   consulted at the same [observed] count, which a failed session no
-   longer advances. *)
+   ignores every event, so none is built; the event still counts, so
+   an armed feed site is reached at the same index either way. *)
 let feed_session st session pc insn =
   match session with
   | None -> ()
-  | Some s ->
+  | Some s -> (
+      let fault =
+        if st.feeds = st.feed_site then begin
+          st.feed_site <- max_int;
+          st.fired <- true;
+          st.cfg.fault
+        end
+        else None
+      in
+      st.feeds <- st.feeds + 1;
       let insn =
-        match st.cfg.faults with
-        | Some f
-          when f.fh_corrupt ~entry:s.s_entry
-                 ~observed:(Translator.observed s.tr) ->
-            poison_insn
-        | Some _ | None -> insn
+        match fault with Some (Fault.Corrupt_feed _) -> poison_insn | _ -> insn
       in
       (if not (Translator.failed s.tr) then
          let value =
@@ -389,14 +382,9 @@ let feed_session st session pc insn =
            if v = Sem.no_value then None else Some v
          in
          Translator.feed s.tr (Event.make ~pc ?value insn));
-      match st.cfg.faults with
-      | Some f -> (
-          match
-            f.fh_abort ~entry:s.s_entry ~observed:(Translator.observed s.tr)
-          with
-          | Some reason -> Translator.inject s.tr reason
-          | None -> ())
-      | None -> ()
+      match fault with
+      | Some (Fault.Force_abort { abort; _ }) -> Translator.inject s.tr abort
+      | _ -> ())
 
 (* Execute translated microcode in place of the outlined function.
    When the block engine is on, replay runs through its pre-compiled
@@ -574,11 +562,11 @@ let region_call st ~pc ~target =
       (* Injected mid-run eviction: the entry disappears as if the cache
          had been power-gated or flushed; the call below misses, the
          region runs in scalar form and retranslates. *)
-      (match st.cfg.faults with
-      | Some f
-        when f.fh_evict ~entry:target ~call ->
+      (match st.cfg.fault with
+      | Some (Fault.Evict_ucode { call = c }) when c = call ->
+          st.fired <- true;
           ignore (Ucode_cache.evict st.ucache ~key:target)
-      | Some _ | None -> ());
+      | _ -> ());
       match
         match Ucode_cache.lookup st.ucache ~key:target ~now with
         | Some u when not (guards_ok st u) ->
@@ -729,6 +717,11 @@ let step st =
           st.pc <- pc + 1)
 
 let init_state config image =
+  let config =
+    match config.fault with
+    | Some (Fault.Exhaust_fuel { budget }) -> { config with fuel = budget }
+    | _ -> config
+  in
   let mem = Memory.create () in
   Image.load_memory image mem;
   let ctx = Sem.create_ctx mem in
@@ -741,17 +734,13 @@ let init_state config image =
   let bpred = Branch_pred.create () in
   (* The block engine is an execution strategy with bit-identical
      counters; it still yields to [step] whenever fidelity demands
-     per-instruction observation. A trace consumer or fault hooks
-     demand it for the whole run, so the engine is not built at all —
-     which is also the self-disable the fault campaign relies on. *)
-  let stepping_only =
-    (* closures: compare shapes, not values *)
-    match (config.on_trace, config.faults) with
-    | None, None -> false
-    | Some _, _ | _, Some _ -> true
-  in
+     per-instruction observation. A trace consumer demands it for the
+     whole run, so the engine is not built at all. An armed fault does
+     not: region calls (evictions) always step, the fuel bail-out
+     honours a watchdog budget, and the dispatcher steps the verify
+     iteration that holds a feed site. *)
   let eng =
-    if config.blocks && not stepping_only then
+    if config.blocks && Option.is_none config.on_trace then
       Some
         (Blocks.create ~image ~ctx ~stats ~icache ~dcache ~bpred
            ~mem_latency:config.mem_latency ~mul_extra:config.mul_extra
@@ -798,6 +787,13 @@ let init_state config image =
       eng;
       session_iters = 0;
       latencies_rev = [];
+      feeds = 0;
+      feed_site =
+        (match config.fault with
+        | Some (Fault.Force_abort { site; _ } | Fault.Corrupt_feed { site }) ->
+            site
+        | _ -> max_int);
+      fired = false;
     }
   in
   (st, mem, ctx)
@@ -867,6 +863,8 @@ let collect st mem ctx =
     tbl_index_builds = ctx.Sem.n_tbl_builds;
     session_iters_compiled = st.session_iters;
     translation_latencies = List.rev st.latencies_rev;
+    feed_events = st.feeds;
+    fault_fired = st.fired;
   }
 
 (* One block-engine dispatch at [st.pc]; [false] when the engine
@@ -892,11 +890,13 @@ let dispatch_blocks st eng ~traces =
 (* A live session at its loop top in the Verify phase: run the next
    iteration as the loop body's block closures and hand the captured
    values to the translator in one batch. [false] when the session is
-   elsewhere, its body is not a straight-line run ending in the
-   back-edge, or fuel could expire inside the iteration. *)
+   elsewhere, the iteration holds the armed feed site, its body is not a
+   straight-line run ending in the back-edge, or fuel could expire
+   inside the iteration. *)
 let dispatch_session st eng s =
   let top = Translator.iteration_top s.tr in
   top >= 0 && top = st.pc
+  && st.feed_site >= st.feeds + Array.length (Translator.iteration_pattern s.tr)
   &&
   let body =
     match s.s_body with
@@ -922,7 +922,9 @@ let dispatch_session st eng s =
           st.pc <- Blocks.out_pc eng;
           st.retired <- Blocks.out_retired eng;
           st.last_load_dst <- Blocks.out_pending eng;
-          Translator.feed_iteration s.tr (Blocks.observed_values b);
+          let values = Blocks.observed_values b in
+          Translator.feed_iteration s.tr values;
+          st.feeds <- st.feeds + Array.length values;
           st.session_iters <- st.session_iters + 1;
           true
       | false -> false
@@ -930,6 +932,24 @@ let dispatch_session st eng s =
           st.pc <- Blocks.out_pc eng;
           st.retired <- Blocks.out_retired eng;
           raise e)
+
+(* A session whose translator has failed ignores what it is fed, so the
+   plain block engine runs for it. [step] would have fed it every image
+   scalar instruction the blocks retired (a region's blocks hold no
+   microcode), so those count as feed events, and an armed site among
+   them fires exactly as it would have there: on a failed session
+   neither fault changes anything. *)
+let dispatch_failed_session st eng =
+  let before = st.stats.Stats.scalar_insns in
+  dispatch_blocks st eng ~traces:false
+  && begin
+       st.feeds <- st.feeds + st.stats.Stats.scalar_insns - before;
+       if st.feed_site < st.feeds then begin
+         st.feed_site <- max_int;
+         st.fired <- true
+       end;
+       true
+     end
 
 (* The main loop. With the block engine on, every pc is first offered to
    the block cache; the engine declines (and we step faithfully) at
@@ -961,7 +981,7 @@ let exec_loop st =
                 step st
             | None ->
                 if Translator.failed s.tr then (
-                  if not (dispatch_blocks st eng ~traces:false) then step st)
+                  if not (dispatch_failed_session st eng) then step st)
                 else if not (dispatch_session st eng s) then step st)
       done
 

@@ -39,24 +39,6 @@ type translation_kind =
 
 type translation = { cycles_per_insn : int; kind : translation_kind }
 
-(** Fault-injection hooks (built by {!Liquid_faults.Fault}): each is
-    consulted at a fixed pipeline point and closes over its own trigger
-    state. All faults attack the {e translation} path only — the
-    executed scalar stream is never altered — so a correctly-degrading
-    machine must still produce the pure-scalar architectural state. *)
-type fault_hooks = {
-  fh_abort : entry:int -> observed:int -> Abort.t option;
-      (** after each event fed to a live translation session; [Some a]
-          forces the session to abort with [a] at its current DFA state *)
-  fh_corrupt : entry:int -> observed:int -> bool;
-      (** before each event fed to a live translation session; [true]
-          feeds an untranslatable instruction in its place (a decode
-          glitch visible only to the translator) *)
-  fh_evict : entry:int -> call:int -> bool;
-      (** before each microcode-cache lookup, with the run's 0-based
-          region-call index; [true] evicts the entry first *)
-}
-
 (** Observation points for debugging and tooling: every retired
     instruction (image stream and microcode), plus region-level events
     (scalar vs microcode calls, translation outcomes). *)
@@ -84,10 +66,11 @@ type config = {
   translator : translation option;
   backend : Backend.t;
       (** translation target the accelerator implements: the fixed-width
-          Neon-like ISA ({!Backend.fixed}, the default) or the
-          vector-length-agnostic predicated ISA ({!Backend.vla}). Every
-          translator session — live or oracle — emits microcode through
-          this backend. *)
+          Neon-like ISA ({!Backend.fixed}, the default), the
+          vector-length-agnostic predicated ISA ({!Backend.vla}) or the
+          RVV-style strip-mined ISA ({!Backend.rvv}). Every translator
+          session — live or oracle — emits microcode through this
+          backend. *)
   icache : Cache.config option;
   dcache : Cache.config option;
   mem_latency : int;
@@ -111,28 +94,34 @@ type config = {
   fuel : int;
       (** retired-instruction budget before a [Fuel_exhausted]
           {!Diag.t} stops the run *)
-  faults : fault_hooks option;  (** fault-injection hooks; [None] = off *)
+  fault : Fault.t option;
+      (** the one fault this run injects; [None] = off. The run counts
+          its own feed events and region calls and fires the fault when
+          it reaches the armed site ({!run.fault_fired}); an
+          [Exhaust_fuel] budget replaces [fuel]. The block engine stays
+          on: evictions happen at region calls, which always step, its
+          fuel bail-out honours the budget, and only the verify
+          iteration that holds a feed site steps. *)
   blocks : bool;
       (** dispatch through the pre-decoded translation-block engine
           ({!Blocks}); default on. Bit-identical to stepping — this is an
           escape hatch for debugging and for measuring the engine's own
           speedup. The engine silently self-disables when a trace
-          observer or fault hooks are configured (those need per-step
-          fidelity). A live translator session does not force stepping:
-          once it verifies, each later loop iteration runs as the loop
-          body's block closures with a per-instruction value capture fed
-          to the translator in one batch, and a session whose translator
-          has failed runs the plain block engine until the region
-          returns. The session still steps its first (Build) iteration,
-          the region return, any body that is not a straight-line run
-          ending in its back-edge, an iteration the fuel budget might
-          not cover, and everything while [interrupt_interval] is set
-          (an interrupt aborts a session at an exact cycle). The engine
-          also forms trace superblocks on hot conditional back-edges and
-          runs steady-state loop iterations through them; a superblock
-          bails to the block path under fuel pressure, and while a
-          translator session is live none is heated, formed or
-          entered. *)
+          observer is configured (it needs per-step fidelity). A live
+          translator session does not force stepping: once it verifies, each later loop iteration
+          runs as the loop body's block closures with a per-instruction
+          value capture fed to the translator in one batch, and a
+          session whose translator has failed runs the plain block
+          engine until the region returns. The session still steps its
+          first (Build) iteration, the region return, any body that is
+          not a straight-line run ending in its back-edge, an iteration
+          the fuel budget might not cover, and everything while
+          [interrupt_interval] is set (an interrupt aborts a session at
+          an exact cycle). The engine also forms trace superblocks on
+          hot conditional back-edges and runs steady-state loop
+          iterations through them; a superblock bails to the block path
+          under fuel pressure, and while a translator session is live
+          none is heated, formed or entered. *)
 }
 
 val scalar_config : config
@@ -214,6 +203,14 @@ type run = {
       (** the [latency] of every completed translation, in completion
           order: the samples a trace observer receives as
           [T_translation] events, available without one *)
+  feed_events : int;
+      (** events offered to a live translator session over the whole
+          run, including those after its translator has failed: the
+          feed sites [\[0, feed_events)] a {!Fault.Force_abort} or
+          {!Fault.Corrupt_feed} can address *)
+  fault_fired : bool;
+      (** the armed {!config.fault} reached its site. Always [false] for
+          [Exhaust_fuel], whose trigger is the [Fuel_exhausted] stop *)
 }
 
 val run : ?config:config -> Image.t -> run

@@ -69,21 +69,17 @@ module Fault = Liquid_faults.Fault
 let fault_image (w : Liquid_workloads.Workload.t) ~width =
   Image.of_program (Liquid_harness.Runner.program_of w (liquid width))
 
-(* The fault site space of one clean run, measured with counting hooks. *)
+(* The fault site space of one clean run, read off its record. *)
 let fault_space w ~width =
-  let hooks, space_of = Fault.counting_hooks () in
-  space_of
-    (Cpu.run
-       ~config:{ (Cpu.liquid_config ~lanes:width) with Cpu.faults = Some hooks }
-       (fault_image w ~width))
+  Fault.space_of
+    (Cpu.run ~config:(Cpu.liquid_config ~lanes:width) (fault_image w ~width))
 
-(* Arm [fault] and run it: the image, the armed fault (for [fired]) and
-   the run's result. *)
+(* Run [w] at [width] with [fault] armed: the image and the run's
+   result, whose record says whether the fault fired. *)
 let run_fault w ~width fault =
   let image = fault_image w ~width in
-  let armed = Fault.arm fault in
-  let config = Fault.configure armed (Cpu.liquid_config ~lanes:width) in
-  (image, armed, Cpu.run_result ~config image)
+  let config = { (Cpu.liquid_config ~lanes:width) with Cpu.fault = Some fault } in
+  (image, Cpu.run_result ~config image)
 
 (* The engine differentials' contract: two runs of the same image, one
    through the block engine and its superblock tier, one stepping, agree
@@ -132,6 +128,29 @@ let check_memory_equal msg (a : Cpu.run) (b : Cpu.run) =
       diffs;
     Alcotest.fail (msg ^ ": memories differ")
   end
+
+(* A faulted run and its [blocks = false] twin agree: the same
+   diagnostic when both stop, otherwise {!check_identical}, memory, the
+   feed events offered and whether the fault fired. *)
+let check_fault_twin what on off =
+  match (on, off) with
+  | Ok (on : Cpu.run), Ok (off : Cpu.run) ->
+      check_identical what on off;
+      Alcotest.(check bool)
+        (what ^ ": memory") true
+        (Memory.equal on.Cpu.memory off.Cpu.memory);
+      Alcotest.(check int)
+        (what ^ ": feed events") off.Cpu.feed_events on.Cpu.feed_events;
+      Alcotest.(check bool)
+        (what ^ ": fault fired") off.Cpu.fault_fired on.Cpu.fault_fired
+  | Error a, Error b ->
+      (* the fault class and the pc, cycle and retired count it stopped at *)
+      Alcotest.(check string)
+        (what ^ ": diagnostic") (Liquid_pipeline.Diag.to_string b)
+        (Liquid_pipeline.Diag.to_string a)
+  | Ok _, Error d | Error d, Ok _ ->
+      Alcotest.failf "%s: only one engine stopped: %s" what
+        (Liquid_pipeline.Diag.to_string d)
 
 (* The paper's running FFT example (§3.4, Figures 2-4), expressed in the
    vector IR: butterfly loads of RealOut/ImagOut, multiply-subtract,

@@ -21,8 +21,10 @@
 
    Separate cases cover the fidelity fallbacks: an interrupt-driven run
    (epoch catch-up across block stretches; sessions step), the engine's
-   self-disable under fault hooks and trace observers (per-step
-   observation must win over speed; no block or superblock runs). The
+   self-disable under a trace observer (per-step observation must win
+   over speed; no block or superblock runs) and a faulted run that keeps
+   the engine and matches its stepping twin. Each differential also
+   compares the fault site space ([Fault.space_of]) of the two runs. The
    superblock tier's own edge cases (formation threshold,
    guard re-entry, failed formation, fuel mid-trace) are in
    [Suite_superblocks]. *)
@@ -34,6 +36,7 @@ open Liquid_harness
 open Liquid_workloads
 module Stats = Liquid_machine.Stats
 module Backend = Liquid_translate.Backend
+module Fault = Liquid_faults.Fault
 
 let widths = [ 2; 4; 8; 16 ]
 
@@ -74,6 +77,10 @@ let check_variant w variant =
         (what ^ ": memory hash")
         (Helpers.mem_hash image off.Runner.run.Cpu.memory)
         (Helpers.mem_hash image on.Runner.run.Cpu.memory);
+      (* the fault site space a campaign draws from is the same on both *)
+      Alcotest.(check bool)
+        (what ^ ": fault site space") true
+        (Fault.space_of on.Runner.run = Fault.space_of off.Runner.run);
       check_conservation (what ^ " [engine]") on.Runner.run;
       check_conservation (what ^ " [stepping]") off.Runner.run;
       (* The comparison is vacuous if the engine never actually ran. *)
@@ -311,8 +318,10 @@ let test_session_fuel () =
       done)
     backends
 
-(* [translation_latencies] carries exactly the samples a trace collector
-   turns into the translation-latency histogram. *)
+(* [translation_latencies] carries exactly the samples a trace observer
+   receives as [T_translation] events — the [latency_cycles] the
+   [--jsonl] collector writes — and the default engine run records the
+   same ones. *)
 let test_latencies_match_collector () =
   List.iter
     (fun (name, variant) ->
@@ -320,19 +329,33 @@ let test_latencies_match_collector () =
         match Workload.find name with Some w -> w | None -> assert false
       in
       let image = Image.of_program (Runner.program_of w variant) in
-      let collector = Liquid_obs.Collector.create () in
-      let config = Liquid_obs.Collector.wrap collector (Runner.config_of variant) in
-      let traced = Cpu.run ~config image in
-      let hist = Liquid_obs.Hist.create () in
-      List.iter (Liquid_obs.Hist.add hist) traced.Cpu.translation_latencies;
-      let json h = Liquid_obs.Json.to_string (Liquid_obs.Hist.to_json h) in
-      Alcotest.(check string)
-        (name ^ ": histogram of the run's latencies")
-        (json (Liquid_obs.Collector.translation_latency collector))
-        (json hist);
-      Alcotest.(check bool)
-        (name ^ ": translations completed") true
-        (traced.Cpu.translation_latencies <> []))
+      let tmp = Filename.temp_file "liquid_blocks" ".jsonl" in
+      let traced =
+        Out_channel.with_open_text tmp (fun oc ->
+            let collector = Liquid_obs.Collector.create ~jsonl:oc in
+            Cpu.run
+              ~config:(Liquid_obs.Collector.wrap collector (Runner.config_of variant))
+              image)
+      in
+      let written =
+        In_channel.with_open_text tmp In_channel.input_lines
+        |> List.filter_map (fun line ->
+               match Liquid_obs.Json.of_string line with
+               | Ok j -> (
+                   match Liquid_obs.Json.member "latency_cycles" j with
+                   | Some (Liquid_obs.Json.Int l) -> Some l
+                   | _ -> None)
+               | Error e -> Alcotest.failf "%s: bad jsonl line (%s): %s" name e line)
+      in
+      Sys.remove tmp;
+      Alcotest.(check (list int))
+        (name ^ ": written latencies = the traced run's record")
+        traced.Cpu.translation_latencies written;
+      Alcotest.(check (list int))
+        (name ^ ": written latencies = the engine run's record")
+        (Cpu.run ~config:(Runner.config_of variant) image).Cpu.translation_latencies
+        written;
+      Alcotest.(check bool) (name ^ ": translations completed") true (written <> []))
     [ ("FIR", Helpers.liquid 8); ("FFT", Helpers.liquid ~backend:Backend.Rvv 4) ]
 
 (* --- fidelity self-disable --- *)
@@ -348,9 +371,11 @@ let check_engine_idle what (r : Cpu.run) =
       ("superblock iterations", r.Cpu.superblock_iters);
     ]
 
-(* Fault hooks and trace observers need per-step observation, so neither
-   the engine nor its superblock tier may run at all — and with no-op
-   hooks the run must still match the unhooked one exactly. *)
+(* A trace observer needs per-step observation, so neither the engine
+   nor its superblock tier may run at all — and with a no-op observer
+   the run must still match the unobserved one exactly. An armed fault
+   is data the dispatcher honours, so a faulted run keeps the engine
+   and matches its stepping twin. *)
 let test_self_disable () =
   let w =
     match Workload.find "GSM Dec." with Some w -> w | None -> assert false
@@ -362,18 +387,24 @@ let test_self_disable () =
   Alcotest.(check bool)
     "superblock tier on by default" true
     (plain.Cpu.superblocks_compiled > 0);
-  let faulted =
-    Cpu.run ~config:{ config with Cpu.faults = Some Liquid_faults.Fault.no_hooks } image
-  in
-  check_engine_idle "fault hooks disable the engine" faulted;
-  Helpers.check_identical "GSM Dec./noop-fault-hooks" plain faulted;
   let traced =
     Cpu.run ~config:{ config with Cpu.on_trace = Some (fun _ -> ()) } image
   in
   check_engine_idle "trace observer disables the engine" traced;
   Helpers.check_identical "GSM Dec./noop-trace" plain traced;
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
-  check_engine_idle "blocks=false builds no engine" off
+  check_engine_idle "blocks=false builds no engine" off;
+  let fault =
+    Fault.Force_abort
+      { site = plain.Cpu.feed_events / 2; abort = List.hd Liquid_translate.Abort.all }
+  in
+  let faulted = Cpu.run ~config:{ config with Cpu.fault = Some fault } image in
+  let faulted_off =
+    Cpu.run ~config:{ config with Cpu.fault = Some fault; blocks = false } image
+  in
+  Alcotest.(check bool) "a fault keeps the engine" true (faulted.Cpu.block_execs > 0);
+  Alcotest.(check bool) "the fault fired" true faulted.Cpu.fault_fired;
+  Helpers.check_fault_twin "GSM Dec./faulted" (Ok faulted) (Ok faulted_off)
 
 let tests =
   List.map

@@ -21,10 +21,14 @@
    - workload-source fuzz campaigns (the machinery behind
      `liquid_cli fuzz -b`) must be clean with every fault cell fired;
    - the oracle's per-workload reference is checked from two domains at
-     once.
+     once;
+   - a fault is data the block engine honours, so every feed site and
+     region call of the corpus programs (and every FIR w4 call) runs on
+     the engine and must match its [blocks = false] twin exactly.
 
-   Site spaces come from a clean counting run ([Helpers.fault_space]),
-   faulted runs from [Helpers.run_fault]. *)
+   Site spaces are read off a clean run's record
+   ([Helpers.fault_space]); faulted runs carry the fault in their config
+   ([Helpers.run_fault]) and report in their record whether it fired. *)
 
 open Liquid_prog
 open Liquid_translate
@@ -64,10 +68,10 @@ let test_abort_sweep w width () =
       let site = Fault.Rng.int rng sp.Fault.sp_feeds in
       let what = Printf.sprintf "%s@%d" (Abort.class_name abort) site in
       match Helpers.run_fault w ~width (Fault.Force_abort { site; abort }) with
-      | image, armed, Ok run ->
-          check_int (what ^ " fired") 1 (armed.Fault.fired ());
+      | image, Ok run ->
+          check_bool (what ^ " fired") true run.Cpu.fault_fired;
           check_bool (what ^ " survives") true (Oracle.equivalent w image run)
-      | _, _, Error d -> Alcotest.failf "%s crashed: %s" what (Diag.to_string d))
+      | _, Error d -> Alcotest.failf "%s crashed: %s" what (Diag.to_string d))
     Abort.all
 
 (* --- eviction and retranslation --- *)
@@ -83,7 +87,6 @@ let test_evict_retranslate () =
   let sp = Helpers.fault_space w ~width in
   check_bool "enough region calls to evict between" true (sp.Fault.sp_calls > 4);
   let fault = Fault.Evict_ucode { call = sp.Fault.sp_calls / 2 } in
-  let armed = Fault.arm fault in
   (* Collect the executed uop stream of every microcode-served call.
      [`Ucode_call] is traced before its uops run, and region calls never
      nest, so the events between consecutive markers are one call. *)
@@ -110,12 +113,12 @@ let test_evict_retranslate () =
   let config =
     {
       (Cpu.liquid_config ~lanes:width) with
-      Cpu.faults = armed.Fault.hooks;
+      Cpu.fault = Some fault;
       Cpu.on_trace = Some on_trace;
     }
   in
   let run = Cpu.run ~config image in
-  check_int "eviction fired once" 1 (armed.Fault.fired ());
+  check_bool "eviction fired" true run.Cpu.fault_fired;
   check_int "stats count the eviction" 1 run.Cpu.stats.Stats.ucode_evictions;
   (* Clean reference at the same width. *)
   let clean = Runner.run w (Helpers.liquid width) in
@@ -222,12 +225,12 @@ let test_fuel_campaign_case () =
   let sp = Helpers.fault_space w ~width:4 in
   let budget = sp.Fault.sp_retired / 2 in
   match Helpers.run_fault w ~width:4 (Fault.Exhaust_fuel { budget }) with
-  | _, _, Error d ->
+  | _, Error d ->
       Alcotest.(check string)
         "watchdog stop is a safe structured abort"
         (Diag.fault_name Diag.Fuel_exhausted)
         (Diag.fault_name d.Diag.fault)
-  | _, _, Ok _ -> Alcotest.fail "run completed under half its fuel"
+  | _, Ok _ -> Alcotest.fail "run completed under half its fuel"
 
 (* --- eviction sites count from 0 --- *)
 
@@ -239,12 +242,65 @@ let test_evict_numbering () =
   check_int "FIR w4 region calls" 100 sp.Fault.sp_calls;
   List.iter
     (fun (call, fires) ->
-      let _, armed, result =
-        Helpers.run_fault w ~width:4 (Fault.Evict_ucode { call })
+      match Helpers.run_fault w ~width:4 (Fault.Evict_ucode { call }) with
+      | _, Ok run ->
+          check_bool (Printf.sprintf "call %d fired" call) fires run.Cpu.fault_fired
+      | _, Error d ->
+          Alcotest.failf "call %d crashed: %s" call (Diag.to_string d))
+    [ (0, true); (sp.Fault.sp_calls - 1, true); (sp.Fault.sp_calls, false) ]
+
+(* --- every site, on the engine and stepping --- *)
+
+(* Run [fault] on the block engine and on its [blocks = false] twin and
+   require the two to agree; the fault must fire on both. *)
+let check_engine_twin what image config fault =
+  let config = { config with Cpu.fault = Some fault } in
+  let on = Cpu.run_result ~config image in
+  let off = Cpu.run_result ~config:{ config with Cpu.blocks = false } image in
+  Helpers.check_fault_twin what on off;
+  match on with
+  | Ok run -> check_bool (what ^ ": fired") true run.Cpu.fault_fired
+  | Error d -> Alcotest.failf "%s crashed: %s" what (Diag.to_string d)
+
+(* Every feed site of a corpus program at w4, under each backend, as a
+   forced abort (the class rotated through [Abort.all] by site) and as a
+   corrupted feed, plus every region call as an eviction. *)
+let test_every_site (name, p) () =
+  let image = Image.of_program (Liquid_scalarize.Codegen.liquid p) in
+  List.iter
+    (fun backend ->
+      let config =
+        Runner.config_of
+          (Runner.Liquid { backend = Backend.kind_of backend; lanes = 4; oracle = false })
       in
-      check_bool (Printf.sprintf "call %d completes" call) true (Result.is_ok result);
-      check_int (Printf.sprintf "call %d fired" call) fires (armed.Fault.fired ()))
-    [ (0, 1); (sp.Fault.sp_calls - 1, 1); (sp.Fault.sp_calls, 0) ]
+      let sp = Fault.space_of (Cpu.run ~config image) in
+      check_bool (name ^ ": the program feeds the translator") true
+        (sp.Fault.sp_feeds > 0);
+      let classes = Array.of_list Abort.all in
+      List.concat
+        (List.init sp.Fault.sp_feeds (fun site ->
+             let abort = classes.(site mod Array.length classes) in
+             [ Fault.Force_abort { site; abort }; Fault.Corrupt_feed { site } ]))
+      @ List.init sp.Fault.sp_calls (fun call -> Fault.Evict_ucode { call })
+      |> List.iter (fun fault ->
+             check_engine_twin
+               (Printf.sprintf "%s/%s/%s" name (Backend.name_of backend)
+                  (Fault.to_string fault))
+               image config fault))
+    Backend.all
+
+(* All 100 region calls of FIR w4 as evictions. *)
+let test_every_eviction_fir () =
+  let w = Option.get (Workload.find "FIR") in
+  let image = Helpers.fault_image w ~width:4 in
+  let config = Cpu.liquid_config ~lanes:4 in
+  let sp = Fault.space_of (Cpu.run ~config image) in
+  check_int "FIR w4 region calls" 100 sp.Fault.sp_calls;
+  for call = 0 to sp.Fault.sp_calls - 1 do
+    check_engine_twin
+      (Printf.sprintf "FIR w4 evict call %d" call)
+      image config (Fault.Evict_ucode { call })
+  done
 
 (* --- the seeded campaign itself --- *)
 
@@ -275,8 +331,8 @@ let test_campaign_two_domains () =
     (fun (w : Workload.t) ->
       let run fault =
         match Helpers.run_fault w ~width:2 fault with
-        | image, _, Ok run -> (image, run)
-        | _, _, Error d ->
+        | image, Ok run -> (image, run)
+        | _, Error d ->
             Alcotest.failf "%s crashed: %s" w.Workload.name (Diag.to_string d)
       in
       let checks =
@@ -324,4 +380,12 @@ let tests =
   @ [
       Alcotest.test_case "campaign on two domains" `Slow
         test_campaign_two_domains;
+      Alcotest.test_case "engine = stepping at every FIR w4 eviction" `Slow
+        test_every_eviction_fir;
     ]
+  @ List.map
+      (fun ((name, _) as case) ->
+        Alcotest.test_case
+          (Printf.sprintf "engine = stepping at every site of %s" name)
+          `Slow (test_every_site case))
+      Fuzz_corpus.Corpus.cases

@@ -1,12 +1,14 @@
 (* The observability layer.
 
    Unit tests for the lib/obs building blocks (JSON tree + parser,
-   power-of-two histograms, packed ring buffer), then the heavyweight guarantee: the conservation
+   power-of-two histograms), then the heavyweight guarantee: the conservation
    invariants of [Snapshot.violations] hold for every workload at every
    accelerator width under baseline, Liquid, oracle-translation and
    seeded fault injection. Any counter that acquires a second writer —
    the dual eviction bookkeeping this PR removed, for instance — fails
-   here on every row at once. *)
+   here on every row at once. A snapshot reads only the run record, so
+   the block engine's own counters (the registry's [engine] marker) are
+   the only place a stepping run's snapshot may differ. *)
 
 open Liquid_prog
 open Liquid_harness
@@ -18,7 +20,6 @@ module Branch_pred = Liquid_machine.Branch_pred
 module Ucode_cache = Liquid_pipeline.Ucode_cache
 module Json = Liquid_obs.Json
 module Hist = Liquid_obs.Hist
-module Ring = Liquid_obs.Ring
 module Collector = Liquid_obs.Collector
 module Snapshot = Liquid_obs.Snapshot
 module Schema = Liquid_obs.Schema
@@ -93,30 +94,9 @@ let test_hist_buckets () =
     "power-of-two bucket boundaries"
     [ (0, 0, 2); (1, 1, 1); (2, 3, 2); (4, 7, 2); (8, 15, 1); (1024, 2047, 1) ]
     (List.rev !buckets);
-  let h2 = Hist.create () in
-  Hist.add h2 16;
-  Hist.merge h2 h;
-  Alcotest.(check int) "merge accumulates" 10 (Hist.count h2);
-  Alcotest.(check int) "merge keeps max" 1024 (Hist.max_value h2);
   match Json.member "count" (Hist.to_json h) with
   | Some (Json.Int 9) -> ()
   | _ -> Alcotest.fail "to_json count field"
-
-(* --- Ring --- *)
-
-let test_ring_wraparound () =
-  let r = Ring.create 4 in
-  for k = 0 to 5 do
-    Ring.push r ~kind:k ~a:(10 * k) ~b:0 ~c:0
-  done;
-  Alcotest.(check int) "pushed counts overwritten records" 6 (Ring.pushed r);
-  Alcotest.(check int) "length capped at capacity" 4 (Ring.length r);
-  let seen = ref [] in
-  Ring.iter r (fun ~kind ~a ~b:_ ~c:_ -> seen := (kind, a) :: !seen);
-  Alcotest.(check (list (pair int int)))
-    "holds the most recent window, oldest first"
-    [ (2, 20); (3, 30); (4, 40); (5, 50) ]
-    (List.rev !seen)
 
 (* --- the invariant matrix --- *)
 
@@ -191,6 +171,63 @@ let test_invariant_matrix () =
     (List.length results);
   List.iter (fun (label, problems) -> check_case label problems) results
 
+(* The engine marker is the whole difference between the two engines'
+   snapshots: for every workload under the baseline and the three
+   translating backends, the default run and its [blocks = false] twin
+   agree on every counter outside the marked sections, every region and
+   every histogram, and the stepping run's marked counters are 0. *)
+let test_engine_marker () =
+  let marked =
+    List.filter_map
+      (fun (c : Snapshot.counter) ->
+        if c.Snapshot.engine then Some (c.Snapshot.section ^ "." ^ c.Snapshot.key)
+        else None)
+      Snapshot.registry
+  in
+  Alcotest.(check (list string))
+    "marked counters"
+    [ "superblocks.compiled"; "superblocks.iterations"; "superblocks.bailouts" ]
+    marked;
+  let variants =
+    List.map
+      (fun s -> Result.get_ok (Runner.variant_of_string s))
+      [ "baseline"; "liquid:8"; "vla:8"; "rvv:8" ]
+  in
+  let engine_ran = ref false in
+  List.iter
+    (fun (w : Workload.t) ->
+      List.iter
+        (fun v ->
+          let what = Printf.sprintf "%s / %s" w.Workload.name (Runner.variant_name v) in
+          let on = Runner.snapshot (Runner.run_cached w v) in
+          let off = Runner.snapshot (Runner.run ~blocks:false w v) in
+          List.iteri
+            (fun i (c : Snapshot.counter) ->
+              let name = c.Snapshot.section ^ "." ^ c.Snapshot.key in
+              if c.Snapshot.engine then begin
+                Alcotest.(check (option int))
+                  (what ^ ": stepping " ^ name) (Some 0) off.Snapshot.s_counters.(i);
+                if on.Snapshot.s_counters.(i) <> Some 0 then engine_ran := true
+              end
+              else
+                Alcotest.(check (option int))
+                  (what ^ ": " ^ name) off.Snapshot.s_counters.(i)
+                  on.Snapshot.s_counters.(i))
+            Snapshot.registry;
+          Alcotest.(check bool)
+            (what ^ ": regions") true
+            (off.Snapshot.s_regions = on.Snapshot.s_regions);
+          List.iter
+            (fun (name, h) ->
+              Alcotest.(check string)
+                (what ^ ": histogram " ^ name)
+                (Json.to_string (Hist.to_json (h off)))
+                (Json.to_string (Hist.to_json (h on))))
+            Snapshot.histograms)
+        variants)
+    (Workload.all ());
+  Alcotest.(check bool) "the marked counters move on the engine" true !engine_ran
+
 (* Fixed-seed fault targets: the invariants must also hold while the
    translation path is being actively attacked. Every workload at width
    8 gets every abort class, a corrupted feed, a mid-run eviction and a
@@ -229,8 +266,8 @@ let test_fault_campaign_invariants () =
             (F.to_string fault)
         in
         match Helpers.run_fault w ~width fault with
-        | _, _, Error _ -> (label, [])
-        | _, _, Ok run ->
+        | _, Error _ -> (label, [])
+        | _, Ok run ->
             let snap =
               Snapshot.of_run ~label:w.Workload.name ~variant:"liquid/faulted"
                 run
@@ -247,19 +284,18 @@ let test_collector_fir () =
   let program = Runner.program_of w (Helpers.liquid 8) in
   let tmp = Filename.temp_file "liquid_obs" ".jsonl" in
   let oc = open_out tmp in
-  let collector = Collector.create ~ring_capacity:64 ~jsonl:oc () in
+  let collector = Collector.create ~jsonl:oc in
   let config = Collector.wrap collector (Cpu.liquid_config ~lanes:8) in
   let run = Cpu.run ~config (Image.of_program program) in
   close_out oc;
+  (* one event per retired instruction and uop, per region call, and
+     per translation outcome (installs also emit [T_translation]) *)
+  let s = run.Cpu.stats in
   Alcotest.(check int)
-    "one latency sample per completed translation"
-    run.Cpu.stats.Stats.ucode_installs
-    (Hist.count (Collector.translation_latency collector));
-  Alcotest.(check int)
-    "ring saw every trace event"
-    (Collector.events collector)
-    (Ring.pushed (Collector.ring collector));
-  Alcotest.(check int) "ring window is full" 64 (Ring.length (Collector.ring collector));
+    "collector counts every trace event"
+    (s.Stats.fetches + s.Stats.uops_retired + s.Stats.region_calls
+    + (2 * s.Stats.ucode_installs) + s.Stats.translations_aborted)
+    (Collector.events collector);
   let lines =
     In_channel.with_open_text tmp In_channel.input_lines
     |> List.filter (fun l -> String.trim l <> "")
@@ -277,16 +313,26 @@ let test_collector_fir () =
   let has_type ty =
     List.exists (fun j -> Json.member "type" j = Some (Json.Str ty)) parsed
   in
+  let seqs =
+    List.map
+      (fun j ->
+        match Json.member "seq" j with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.fail "jsonl line without a seq")
+      parsed
+  in
+  Alcotest.(check bool)
+    "seq numbers trace events: increasing, within the total" true
+    (List.sort_uniq compare seqs = seqs
+    && List.for_all (fun n -> n <= Collector.events collector) seqs);
   Alcotest.(check bool) "stream has region events" true (has_type "region");
   Alcotest.(check bool) "stream has translation events" true (has_type "translation");
-  let snap =
-    Snapshot.of_run ~label:w.Workload.name ~variant:"liquid/8-wide" ~collector
-      run
-  in
+  let snap = Snapshot.of_run ~label:w.Workload.name ~variant:"liquid/8-wide" run in
   check_case "FIR snapshot invariants" (Snapshot.violations snap);
   check_case "FIR snapshot schema" (Schema.snapshot (Snapshot.to_json snap));
   Alcotest.(check int)
-    "latency histogram lands in the snapshot" 1
+    "one latency sample per completed translation"
+    run.Cpu.stats.Stats.ucode_installs
     (Hist.count snap.Snapshot.s_latency_hist);
   let csv = Snapshot.to_csv snap in
   List.iter
@@ -347,11 +393,11 @@ let test_invariants_fire () =
     | None -> Alcotest.failf "FIR liquid:8 snapshot has no counter %s" name);
     { snap with Snapshot.s_counters = values }
   in
-  let extra_gap (snap : Snapshot.t) =
-    let h = Hist.create () in
-    Hist.merge h snap.Snapshot.s_gap_hist;
-    Hist.add h 0;
-    { snap with Snapshot.s_gap_hist = h }
+  (* a fresh snapshot of the same run, so the shared one stays clean *)
+  let extra_gap (_ : Snapshot.t) =
+    let snap = Runner.snapshot (Runner.run_cached (find "FIR") (Helpers.liquid 8)) in
+    Hist.add snap.Snapshot.s_gap_hist 0;
+    snap
   in
   let cases =
     [
@@ -393,7 +439,6 @@ let tests =
     Alcotest.test_case "json parser" `Quick test_json_parse;
     Alcotest.test_case "json non-finite floats" `Quick test_json_nonfinite;
     Alcotest.test_case "histogram buckets" `Quick test_hist_buckets;
-    Alcotest.test_case "ring wrap-around" `Quick test_ring_wraparound;
     Alcotest.test_case "collector + snapshot on FIR" `Quick test_collector_fir;
     Alcotest.test_case "schema rejects malformed documents" `Quick
       test_schema_rejects;
@@ -402,4 +447,6 @@ let tests =
       `Slow test_invariant_matrix;
     Alcotest.test_case "invariants under fault campaign" `Slow
       test_fault_campaign_invariants;
+    Alcotest.test_case "engine marker: stepping snapshots differ only there"
+      `Slow test_engine_marker;
   ]
