@@ -1,4 +1,5 @@
-(** Set-associative cache model with true-LRU replacement.
+(** Set-associative cache model with true-LRU replacement, at O(1) per
+    access.
 
     This is a timing/behaviour model only: it tracks which lines are
     resident, not their contents (data always comes from {!Memory}). The
@@ -17,6 +18,8 @@ val arm926_config : config
 type t
 
 val create : config -> t
+(** Raises [Invalid_argument] unless the line size and the set count
+    are powers of two and the cache has fewer than 65535 lines. *)
 
 val config : t -> config
 
@@ -33,13 +36,20 @@ val credit_hits : t -> int -> unit
     instruction fetches touches each line once through {!access} and
     credits the remaining same-line fetches, which are hits by
     construction (no other access of the set can intervene inside a
-    block). State and LRU order are untouched, so this is
-    counter-equivalent to performing the accesses. *)
+    block). The LRU order is unchanged because the run's line is
+    already its set's most recently used line, where a real hit would
+    leave it; so this is counter-equivalent to performing the
+    accesses. *)
 
 val line_bytes : t -> int
 
-val lines_spanned : t -> addr:int -> bytes:int -> int
-(** Number of distinct cache lines covered by the byte range. *)
+val access_range : t -> addr:int -> bytes:int -> int
+(** [access_range c ~addr ~bytes] runs {!access} on each line the byte
+    range covers, lowest first, and returns how many missed (0 for an
+    empty range). *)
+
+val set_of : t -> int -> int
+(** The set the line holding this address maps to. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -335,13 +335,7 @@ let charge_data eng ~addr ~bytes ~write =
   match eng.dcache with
   | None -> ()
   | Some c ->
-      let lines = Cache.lines_spanned c ~addr ~bytes in
-      let line_bytes = Cache.line_bytes c in
-      for i = 0 to lines - 1 do
-        match Cache.access c (addr + (i * line_bytes)) with
-        | Cache.Hit -> ()
-        | Cache.Miss -> charge eng eng.mem_latency
-      done
+      charge eng (Cache.access_range c ~addr ~bytes * eng.mem_latency)
 
 let charge_scratch eng =
   let ctx = eng.ctx in
@@ -482,9 +476,9 @@ let compile_addr regs ~breg ~bconst ~ireg ~iconst ~shift =
 (* Specialized data-cache probe for a scalar access of a known size:
    at most two lines are spanned (scalar accesses are at most 4 bytes,
    lines at least that), and single-byte accesses span exactly one, so
-   the generic [lines_spanned] loop collapses to one probe plus a
+   the generic [Cache.access_range] collapses to one probe plus a
    compile-time-guarded boundary check. Probe order (low line first)
-   matches [charge_data]. *)
+   matches it. *)
 let compile_probe eng c ~bytes =
   let lat = eng.mem_latency in
   let mask = lnot (Cache.line_bytes c - 1) in
@@ -1223,10 +1217,7 @@ let form_super eng latch ~head ~cond ~key ~fall =
           match eng.icache with
           | None -> true
           | Some c ->
-              let cfg = Cache.config c in
-              let n_sets =
-                cfg.Cache.size_bytes / (cfg.Cache.line_bytes * cfg.Cache.assoc)
-              in
+              let assoc = (Cache.config c).Cache.assoc in
               let seen = Hashtbl.create 16 in
               let per_set = Hashtbl.create 16 in
               let ok = ref true in
@@ -1236,14 +1227,14 @@ let form_super eng latch ~head ~cond ~key ~fall =
                     (fun la ->
                       if la >= 0 && not (Hashtbl.mem seen la) then begin
                         Hashtbl.add seen la ();
-                        let set = la / cfg.Cache.line_bytes mod n_sets in
+                        let set = Cache.set_of c la in
                         let cnt =
                           match Hashtbl.find_opt per_set set with
                           | Some v -> v + 1
                           | None -> 1
                         in
                         Hashtbl.replace per_set set cnt;
-                        if cnt > cfg.Cache.assoc then ok := false
+                        if cnt > assoc then ok := false
                       end)
                     b.b_newline)
                 blks;

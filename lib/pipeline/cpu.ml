@@ -233,13 +233,7 @@ let charge_dcache st ~addr ~bytes ~write =
   match st.dcache with
   | None -> ()
   | Some c ->
-      let lines = Cache.lines_spanned c ~addr ~bytes in
-      let line_bytes = Cache.line_bytes c in
-      for i = 0 to lines - 1 do
-        match Cache.access c (addr + (i * line_bytes)) with
-        | Cache.Hit -> ()
-        | Cache.Miss -> charge st st.cfg.mem_latency
-      done
+      charge st (Cache.access_range c ~addr ~bytes * st.cfg.mem_latency)
 
 (* Account every memory access the last [Sem.exec_*] recorded in the
    context scratch buffer. *)

@@ -124,11 +124,23 @@ let test_cache_stats_and_flush () =
   Alcotest.(check bool) "flush invalidates" true (Cache.access c 0 = Cache.Miss)
 
 let test_cache_lines_spanned () =
-  let c = small_cache () in
-  check "one line" 1 (Cache.lines_spanned c ~addr:0 ~bytes:32);
-  check "two lines" 2 (Cache.lines_spanned c ~addr:16 ~bytes:32);
-  check "empty" 0 (Cache.lines_spanned c ~addr:0 ~bytes:0);
-  check "exact boundary" 1 (Cache.lines_spanned c ~addr:32 ~bytes:1)
+  (* On a cold cache each line of the range misses once; again, none. *)
+  let spanned ~addr ~bytes =
+    let c = small_cache () in
+    let misses = Cache.access_range c ~addr ~bytes in
+    check "range again hits" 0 (Cache.access_range c ~addr ~bytes);
+    misses
+  in
+  check "one line" 1 (spanned ~addr:0 ~bytes:32);
+  check "two lines" 2 (spanned ~addr:16 ~bytes:32);
+  check "empty" 0 (spanned ~addr:0 ~bytes:0);
+  check "exact boundary" 1 (spanned ~addr:32 ~bytes:1);
+  (* lines are probed low to high: in one 2-way set, three lines leave
+     the upper two resident *)
+  let c = Cache.create { Cache.size_bytes = 64; line_bytes = 32; assoc = 2 } in
+  check "three lines" 3 (Cache.access_range c ~addr:0 ~bytes:96);
+  Alcotest.(check bool) "lowest evicted" true (Cache.access c 0x00 = Cache.Miss);
+  Alcotest.(check bool) "highest kept" true (Cache.access c 0x40 = Cache.Hit)
 
 let test_cache_arm926_geometry () =
   (* 16 KiB, 64-way, 32-byte lines: 8 sets. 64 distinct lines in the
@@ -148,7 +160,18 @@ let test_cache_bad_config () =
   Alcotest.check_raises "line not pow2"
     (Invalid_argument "Cache.create: line size must be a power of two")
     (fun () ->
-      ignore (Cache.create { Cache.size_bytes = 96; line_bytes = 24; assoc = 2 }))
+      ignore (Cache.create { Cache.size_bytes = 96; line_bytes = 24; assoc = 2 }));
+  Alcotest.check_raises "too many lines"
+    (Invalid_argument "Cache.create: 65535 lines or more")
+    (fun () ->
+      ignore (Cache.create { Cache.size_bytes = 0xFFFF * 32; line_bytes = 32; assoc = 0xFFFF }))
+
+(* Every fuzz run builds two caches, so their size shows in its wall
+   time: a 3,600-word variant of this model cost fuzz ~10% on a 2-vCPU
+   host. *)
+let test_cache_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Cache.create Cache.arm926_config)) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 1,100" words) true (words <= 1_100)
 
 (* --- Branch predictor --- *)
 
@@ -203,6 +226,7 @@ let tests =
     Alcotest.test_case "cache: lines spanned" `Quick test_cache_lines_spanned;
     Alcotest.test_case "cache: ARM926 geometry" `Quick test_cache_arm926_geometry;
     Alcotest.test_case "cache: bad config" `Quick test_cache_bad_config;
+    Alcotest.test_case "cache: footprint" `Quick test_cache_footprint;
     Alcotest.test_case "bpred: warms up" `Quick test_bpred_warms_up;
     Alcotest.test_case "bpred: static not taken" `Quick test_bpred_static_not_taken;
     Alcotest.test_case "bpred: aliasing" `Quick test_bpred_aliasing;

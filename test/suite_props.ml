@@ -106,29 +106,90 @@ let memory_props =
 
 (* --- Cache vs reference LRU model --- *)
 
-let reference_lru ~sets ~assoc ~line accesses =
+(* [Touch (addr, k)] accesses [addr], then [k] more fetches of its line
+   (the cache credits them through [credit_hits]). *)
+type cache_op = Touch of int * int | Flush
+
+(* The spec: per set, the resident lines, most recent first. *)
+let reference_lru ~sets ~assoc ~line ops =
   let state = Array.make sets [] in
+  let hits = ref 0 and misses = ref 0 in
+  let touch addr =
+    let lineno = addr / line in
+    let set = lineno mod sets in
+    let ways = state.(set) in
+    let hit = List.mem lineno ways in
+    if hit then incr hits else incr misses;
+    let ways = lineno :: List.filter (fun l -> l <> lineno) ways in
+    state.(set) <- List.filteri (fun i _ -> i < assoc) ways;
+    hit
+  in
+  let outcomes =
+    List.filter_map
+      (function
+        | Touch (addr, k) ->
+            let hit = touch addr in
+            for _ = 1 to k do
+              ignore (touch addr)
+            done;
+            Some hit
+        | Flush ->
+            Array.fill state 0 sets [];
+            None)
+      ops
+  in
+  (outcomes, !hits, !misses)
+
+let run_cache cfg ops =
+  let c = Cache.create cfg in
+  let outcomes =
+    List.filter_map
+      (function
+        | Touch (addr, k) ->
+            let hit = Cache.access c addr = Cache.Hit in
+            Cache.credit_hits c k;
+            Some hit
+        | Flush ->
+            Cache.flush c;
+            None)
+      ops
+  in
+  (outcomes, Cache.hits c, Cache.misses c)
+
+(* 1 set x {1, 2, 64} ways, 4 x 2, and the ARM926's 8 x 64. *)
+let cache_geometries =
   List.map
-    (fun addr ->
-      let lineno = addr / line in
-      let set = lineno mod sets in
-      let ways = state.(set) in
-      let hit = List.mem lineno ways in
-      let ways = lineno :: List.filter (fun l -> l <> lineno) ways in
-      let ways = if List.length ways > assoc then List.filteri (fun i _ -> i < assoc) ways else ways in
-      state.(set) <- ways;
-      hit)
-    accesses
+    (fun (sets, assoc) -> { Cache.size_bytes = sets * assoc * 32; line_bytes = 32; assoc })
+    [ (1, 1); (1, 2); (1, 64); (4, 2) ]
+  @ [ Cache.arm926_config ]
+
+(* Addresses span 2-4x the capacity; half of them fall in a hot half of
+   the capacity, so hits (at the MRU slot and deeper) mix with
+   evictions. Streams run up to 8x the lines the range covers, long
+   enough to fill every set. *)
+let cache_case =
+  let open QCheck.Gen in
+  let* cfg = oneofl cache_geometries in
+  let* mult = int_range 2 4 in
+  let cap = cfg.Cache.size_bytes in
+  let addr = frequency [ (1, int_bound ((mult * cap) - 1)); (1, int_bound ((cap / 2) - 1)) ] in
+  let credit = frequency [ (3, return 0); (1, int_range 1 7) ] in
+  let op = frequency [ (40, map2 (fun a k -> Touch (a, k)) addr credit); (1, return Flush) ] in
+  let* n = int_range 1 ((8 * mult * cap / cfg.Cache.line_bytes) + 64) in
+  let+ ops = list_repeat n op in
+  (cfg, ops)
+
+let print_cache_case (cfg, ops) =
+  Printf.sprintf "%d B / %d-way, %d ops" cfg.Cache.size_bytes cfg.Cache.assoc (List.length ops)
 
 let cache_props =
   [
     qtest "cache matches reference LRU"
-      QCheck.(small_list (int_range 0 1023))
-      (fun addrs ->
-        let c = Cache.create { Cache.size_bytes = 256; line_bytes = 32; assoc = 2 } in
-        let got = List.map (fun a -> Cache.access c a = Cache.Hit) addrs in
-        let expected = reference_lru ~sets:4 ~assoc:2 ~line:32 addrs in
-        got = expected);
+      (QCheck.make ~print:print_cache_case cache_case)
+      (fun (cfg, ops) ->
+        let sets = cfg.Cache.size_bytes / (cfg.Cache.line_bytes * cfg.Cache.assoc) in
+        run_cache cfg ops
+        = reference_lru ~sets ~assoc:cfg.Cache.assoc ~line:cfg.Cache.line_bytes ops);
   ]
 
 (* --- Permutations --- *)
