@@ -144,7 +144,8 @@ let exec_cmd =
   in
   let trace_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_conv ~what:"trace count" (fun n -> n >= 0)) 0
       & info [ "trace" ] ~docv:"N"
           ~doc:"Print the first $(docv) execution/region trace events.")
   in

@@ -69,23 +69,12 @@ let snapshot (j : Json.t) =
      field errs "document" j "variant" T_str (fun _ -> ());
      List.iter
        (fun section ->
-         let counters obj =
-           List.iter
-             (fun (c : Snapshot.counter) ->
-               if String.equal c.section section then
-                 field errs section obj c.key T_int (fun _ -> ()))
-             Snapshot.registry
-         in
-         match Json.member section j with
-         | Some Json.Null when Snapshot.nullable section -> ()
-         | Some (Json.Obj _ as obj) -> counters obj
-         | None ->
-             errs := Printf.sprintf "document: missing field %S" section :: !errs
-         | Some _ ->
-             errs :=
-               Printf.sprintf "document.%s: expected %s" section
-                 (if Snapshot.nullable section then "object or null" else "object")
-               :: !errs)
+         field errs "document" j section T_obj (fun obj ->
+             List.iter
+               (fun (c : Snapshot.counter) ->
+                 if String.equal c.section section then
+                   field errs section obj c.key T_int (fun _ -> ()))
+               Snapshot.registry))
        Snapshot.sections;
      field errs "document" j "regions" T_list (fun v ->
          match v with

@@ -10,7 +10,10 @@
 
 val snapshot : Json.t -> string list
 (** Validates a {!Snapshot.to_json} document
-    (schema ["liquid-obs-snapshot/1"]). *)
+    (schema ["liquid-obs-snapshot/1"]): every {!Snapshot.sections}
+    entry must be an object holding each of its registered counters as
+    an int (a [null] section is an error: every machine has every
+    unit). *)
 
 val fuzz_report : Json.t -> string list
 (** Validates a fuzzing-campaign report

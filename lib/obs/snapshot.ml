@@ -11,29 +11,22 @@ type counter = {
 
 let name c = c.section ^ "." ^ c.key
 
-(* The units a machine may lack, with their accessors. *)
-let cache_units =
-  [
-    ("icache", fun (r : Cpu.run) -> r.Cpu.icache_counters);
-    ("dcache", fun (r : Cpu.run) -> r.Cpu.dcache_counters);
-  ]
-
 let registry =
   let section ?(engine = false) name fields =
     List.map (fun (key, doc, get) -> { section = name; key; doc; get; engine }) fields
   in
-  let cache (name, unit_of) =
-    let read f r = Option.fold ~none:0 ~some:f (unit_of r) in
+  let cache name unit_of =
     section name
       [
-        ("hits", "hits, the cache's own tally", read (fun u -> u.Cache.c_hits));
-        ("misses", "misses, the cache's own tally", read (fun u -> u.Cache.c_misses));
+        ("hits", "hits, the cache's own tally", fun r -> (unit_of r).Cache.c_hits);
+        ("misses", "misses, the cache's own tally", fun r -> (unit_of r).Cache.c_misses);
       ]
   in
   let bpred f r = f r.Cpu.bpred_counters and ucache f r = f r.Cpu.ucache_counters in
   section "stats"
     (List.map (fun (key, read) -> (key, "see Stats.t", fun r -> read r.Cpu.stats)) Stats.fields)
-  @ List.concat_map cache cache_units
+  @ cache "icache" (fun r -> r.Cpu.icache_counters)
+  @ cache "dcache" (fun r -> r.Cpu.dcache_counters)
   @ section "branch_pred"
       [
         ("lookups", "predictions, the predictor's own tally",
@@ -88,8 +81,6 @@ let members =
   let indexed = List.mapi (fun i c -> (i, c)) registry in
   List.map (fun s -> (s, List.filter (fun (_, c) -> c.section = s) indexed)) sections
 
-let nullable section = List.mem_assoc section cache_units
-
 let names = List.map name registry
 
 let index n =
@@ -111,7 +102,7 @@ type region = {
 type t = {
   s_label : string;
   s_variant : string;
-  s_counters : int option array;
+  s_counters : int array;
   s_regions : region list;
   s_latency_hist : Hist.t;
   s_gap_hist : Hist.t;
@@ -166,17 +157,10 @@ let of_run ?(label = "run") ?(variant = "unknown") (run : Cpu.run) =
     run.Cpu.regions;
   let latency = Hist.create () in
   List.iter (Hist.add latency) run.Cpu.translation_latencies;
-  let values = Array.make (List.length registry) None in
-  List.iteri (fun i c -> values.(i) <- Some (c.get run)) registry;
-  List.iter
-    (fun (section, unit_of) ->
-      if unit_of run = None then
-        List.iter (fun (i, _) -> values.(i) <- None) (List.assoc section members))
-    cache_units;
   {
     s_label = label;
     s_variant = variant;
-    s_counters = values;
+    s_counters = Array.of_list (List.map (fun c -> c.get run) registry);
     s_regions = List.map region_of_report run.Cpu.regions;
     s_latency_hist = latency;
     s_gap_hist = gap;
@@ -208,7 +192,7 @@ let side s =
       | None, Some f -> (Some n, f)
       | None, None ->
           let i = index n in
-          (Some n, fun t -> Option.value ~default:0 t.s_counters.(i)))
+          (Some n, fun t -> t.s_counters.(i)))
     (String.split_on_char '+' s)
 
 (* A relation returns [None] when it holds and the offending values
@@ -235,17 +219,13 @@ let le = rel "<=" ( <= )
 let all rels t = List.find_map (fun r -> r t) rels
 let any rels t = if List.exists (fun r -> r t = None) rels then None else (List.hd rels) t
 
-let if_present section r t =
-  if List.exists (fun (i, _) -> t.s_counters.(i) <> None) (List.assoc section members) then r t
-  else None
-
 let invariants =
   [
     ( "insn-conservation",
       eq "stats.scalar_insns + stats.vector_insns" "stats.fetches + stats.uops_retired" );
     ( "icache-mirror",
       all [ eq "stats.icache_hits" "icache.hits"; eq "stats.icache_misses" "icache.misses" ] );
-    ("icache-fetches", if_present "icache" (eq "icache.hits + icache.misses" "stats.fetches"));
+    ("icache-fetches", eq "icache.hits + icache.misses" "stats.fetches");
     ( "dcache-mirror",
       all [ eq "stats.dcache_hits" "dcache.hits"; eq "stats.dcache_misses" "dcache.misses" ] );
     ( "branch-mirror",
@@ -311,8 +291,7 @@ let region_json r =
     ]
 
 let section_json t counters =
-  let field (i, c) = Option.map (fun v -> (c.key, Json.Int v)) t.s_counters.(i) in
-  match List.filter_map field counters with [] -> Json.Null | kvs -> Json.Obj kvs
+  Json.Obj (List.map (fun (i, c) -> (c.key, Json.Int t.s_counters.(i))) counters)
 
 (* Schema liquid-obs-snapshot/1 places the per-region timelines between
    the hardware-unit sections and the engine sections. *)
@@ -356,7 +335,7 @@ let to_csv t =
   row "key" "value";
   row "label" (quote t.s_label);
   row "variant" (quote t.s_variant);
-  List.iteri (fun i n -> Option.iter (int_row n) t.s_counters.(i)) names;
+  List.iteri (fun i n -> int_row n t.s_counters.(i)) names;
   List.iter
     (fun r ->
       let p k v = int_row (Printf.sprintf "region.%s.%s" r.r_label k) v in

@@ -45,11 +45,6 @@ val index : string -> int
 val sections : string list
 (** The distinct sections of {!registry}, in document order. *)
 
-val nullable : string -> bool
-(** Sections of a unit the machine may lack ([icache], [dcache]). When
-    the unit is absent the section is [null] in JSON and has no CSV
-    rows. *)
-
 type region = {
   r_label : string;
   r_entry : int;
@@ -64,9 +59,8 @@ type region = {
 type t = {
   s_label : string;
   s_variant : string;
-  s_counters : int option array;
-      (** one value per {!registry} entry, at its {!index}; [None] for
-          the counters of a unit the machine lacks *)
+  s_counters : int array;
+      (** one value per {!registry} entry, at its {!index} *)
   s_regions : region list;
   s_latency_hist : Hist.t;
       (** translation latency in cycles, one sample per completed

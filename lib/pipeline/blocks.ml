@@ -139,7 +139,7 @@ type block = {
   b_cycles : int;  (* sum of [b_charge] *)
   b_newline : int array;
       (* per slot: the icache line address when this slot's fetch starts
-         a new line run, -1 otherwise (always -1 without an icache) *)
+         a new line run, -1 otherwise *)
   b_nlines : int;
   b_first : Insn.exec option;  (* entry load-use hazard probe *)
   b_exit_pending : Reg.t option;
@@ -235,12 +235,9 @@ type t = {
   image : Image.t;
   ctx : Sem.ctx;
   stats : Stats.t;
-  icache : Cache.t option;
-  dcache : Cache.t option;
+  icache : Cache.t;
+  dcache : Cache.t;
   bpred : Branch_pred.t;
-  mem_latency : int;
-  mul_extra : int;
-  mispredict_penalty : int;
   vec_bus_bytes : int;
   lanes : int;  (* accelerator lanes, -1 when absent *)
   max_uops : int;
@@ -275,8 +272,8 @@ let hot_threshold = 16
 let max_super_blocks = 16  (* member blocks per trace *)
 let max_super_thunks = 1024  (* closures per trace *)
 
-let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
-    ~mispredict_penalty ~vec_bus_bytes ~lanes ~max_uops ~fuel =
+let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~vec_bus_bytes ~lanes
+    ~max_uops ~fuel =
   {
     image;
     ctx;
@@ -284,9 +281,6 @@ let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
     icache;
     dcache;
     bpred;
-    mem_latency;
-    mul_extra;
-    mispredict_penalty;
     vec_bus_bytes;
     lanes = (match lanes with Some l -> l | None -> -1);
     max_uops;
@@ -318,24 +312,23 @@ let vla_preds eng = eng.vla_preds
 
 (* --- charge helpers (shared by thunks and repair) --- *)
 
+(* The ARM926's fixed costs, in cycles. *)
+let mem_latency = 30
+let mul_extra = 1
+let mispredict_penalty = 3
+
 let[@inline] charge eng c = eng.stats.Stats.cycles <- eng.stats.Stats.cycles + c
 
 let[@inline] icache_access eng la =
-  match eng.icache with
-  | None -> ()
-  | Some c -> (
-      match Cache.access c la with
-      | Cache.Hit -> ()
-      | Cache.Miss -> charge eng eng.mem_latency)
+  match Cache.access eng.icache la with
+  | Cache.Hit -> ()
+  | Cache.Miss -> charge eng mem_latency
 
 let charge_data eng ~addr ~bytes ~write =
   let stats = eng.stats in
   (if write then stats.Stats.stores <- stats.Stats.stores + 1
    else stats.Stats.loads <- stats.Stats.loads + 1);
-  match eng.dcache with
-  | None -> ()
-  | Some c ->
-      charge eng (Cache.access_range c ~addr ~bytes * eng.mem_latency)
+  charge eng (Cache.access_range eng.dcache ~addr ~bytes * mem_latency)
 
 let charge_scratch eng =
   let ctx = eng.ctx in
@@ -346,7 +339,7 @@ let charge_scratch eng =
 
 let[@inline] record_branch eng ~key ~taken =
   if not (Branch_pred.predict_and_update eng.bpred ~pc:key ~taken) then
-    charge eng eng.mispredict_penalty
+    charge eng mispredict_penalty
 
 (* --- compile --- *)
 
@@ -425,13 +418,13 @@ let compile_suop insn =
 
 (* Everything [step] charges before exec, statically known per
    instruction. *)
-let scalar_charge eng (insn : Insn.exec) =
-  match insn with Insn.Dp { op = Opcode.Mul; _ } -> 1 + eng.mul_extra | _ -> 1
+let scalar_charge (insn : Insn.exec) =
+  match insn with Insn.Dp { op = Opcode.Mul; _ } -> 1 + mul_extra | _ -> 1
 
 let gather_charge ~bus ~lanes esize =
   1 + (lanes * ((Esize.bytes esize + bus - 1) / bus))
 
-let vector_charge ~mul_extra ~bus ~lanes (v : Vinsn.exec) =
+let vector_charge ~bus ~lanes (v : Vinsn.exec) =
   let extra esize =
     let bytes = lanes * Esize.bytes esize in
     max 0 (((bytes + bus - 1) / bus) - 1)
@@ -445,9 +438,9 @@ let vector_charge ~mul_extra ~bus ~lanes (v : Vinsn.exec) =
   | Vinsn.Vgather { esize; _ } -> gather_charge ~bus ~lanes esize
   | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ -> 1
 
-let governed_charge ~mul_extra ~bus ~lanes (g : Governed.t) =
+let governed_charge ~bus ~lanes (g : Governed.t) =
   match g with
-  | Governed.Op { v; _ } -> vector_charge ~mul_extra ~bus ~lanes v
+  | Governed.Op { v; _ } -> vector_charge ~bus ~lanes v
   | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
       gather_charge ~bus ~lanes esize
   | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> 1
@@ -479,28 +472,28 @@ let compile_addr regs ~breg ~bconst ~ireg ~iconst ~shift =
    the generic [Cache.access_range] collapses to one probe plus a
    compile-time-guarded boundary check. Probe order (low line first)
    matches it. *)
-let compile_probe eng c ~bytes =
-  let lat = eng.mem_latency in
+let compile_probe eng ~bytes =
+  let c = eng.dcache in
   let mask = lnot (Cache.line_bytes c - 1) in
   if bytes = 1 then fun addr ->
     match Cache.access c addr with
     | Cache.Hit -> ()
-    | Cache.Miss -> charge eng lat
+    | Cache.Miss -> charge eng mem_latency
   else fun addr ->
     (match Cache.access c addr with
     | Cache.Hit -> ()
-    | Cache.Miss -> charge eng lat);
+    | Cache.Miss -> charge eng mem_latency);
     let last = addr + bytes - 1 in
     if last land mask <> addr land mask then (
       match Cache.access c last with
       | Cache.Hit -> ()
-      | Cache.Miss -> charge eng lat)
+      | Cache.Miss -> charge eng mem_latency)
 
 (* One micro-op, compiled to a closure. The closure performs exactly
    what the old interpretive dispatch performed for the same [suop] —
    architectural effect, load/store counting, data-cache probes in
    access order — with every static decision (operand indices, opcode
-   dispatch, element sizes, cache presence) paid here, once. *)
+   dispatch, element sizes) paid here, once. *)
 let compile_thunk eng ~lanes u =
   let ctx = eng.ctx in
   let regs = ctx.Sem.regs in
@@ -549,36 +542,24 @@ let compile_thunk eng ~lanes u =
       fun () ->
         ctx.Sem.flags <-
           Flags.of_compare (Array.unsafe_get regs s1) (Array.unsafe_get regs s2)
-  | Sld { bytes; signed; dst; breg; bconst; ireg; iconst; shift } -> (
+  | Sld { bytes; signed; dst; breg; bconst; ireg; iconst; shift } ->
       let addr_of = compile_addr regs ~breg ~bconst ~ireg ~iconst ~shift in
       let stats = eng.stats in
-      match eng.dcache with
-      | None ->
-          fun () ->
-            Sem.kernel_ld ctx ~addr:(addr_of ()) ~bytes ~signed ~dst;
-            stats.Stats.loads <- stats.Stats.loads + 1
-      | Some c ->
-          let probe = compile_probe eng c ~bytes in
-          fun () ->
-            let addr = addr_of () in
-            Sem.kernel_ld ctx ~addr ~bytes ~signed ~dst;
-            stats.Stats.loads <- stats.Stats.loads + 1;
-            probe addr)
-  | Sst { bytes; src; breg; bconst; ireg; iconst; shift } -> (
+      let probe = compile_probe eng ~bytes in
+      fun () ->
+        let addr = addr_of () in
+        Sem.kernel_ld ctx ~addr ~bytes ~signed ~dst;
+        stats.Stats.loads <- stats.Stats.loads + 1;
+        probe addr
+  | Sst { bytes; src; breg; bconst; ireg; iconst; shift } ->
       let addr_of = compile_addr regs ~breg ~bconst ~ireg ~iconst ~shift in
       let stats = eng.stats in
-      match eng.dcache with
-      | None ->
-          fun () ->
-            Sem.kernel_st ctx ~addr:(addr_of ()) ~bytes ~src;
-            stats.Stats.stores <- stats.Stats.stores + 1
-      | Some c ->
-          let probe = compile_probe eng c ~bytes in
-          fun () ->
-            let addr = addr_of () in
-            Sem.kernel_st ctx ~addr ~bytes ~src;
-            stats.Stats.stores <- stats.Stats.stores + 1;
-            probe addr)
+      let probe = compile_probe eng ~bytes in
+      fun () ->
+        let addr = addr_of () in
+        Sem.kernel_st ctx ~addr ~bytes ~src;
+        stats.Stats.stores <- stats.Stats.stores + 1;
+        probe addr
   | Svec v ->
       let f = Sem.compile_vector ctx ~lanes v in
       if vinsn_accesses v then fun () ->
@@ -614,15 +595,12 @@ let compile_thunk eng ~lanes u =
 (* Bake the slot's icache line probe in front of its thunk, so the
    replay loop is a bare closure call per micro-op. *)
 let wrap_icache eng la base =
-  match eng.icache with
-  | None -> base
-  | Some c ->
-      let lat = eng.mem_latency in
-      fun () ->
-        (match Cache.access c la with
-        | Cache.Hit -> ()
-        | Cache.Miss -> charge eng lat);
-        base ()
+  let c = eng.icache in
+  fun () ->
+    (match Cache.access c la with
+    | Cache.Hit -> ()
+    | Cache.Miss -> charge eng mem_latency);
+    base ()
 
 let compile_block eng pc0 =
   let code = eng.image.Image.code in
@@ -678,7 +656,7 @@ let compile_block eng pc0 =
                       | Some _ | None -> 0
                     in
                     uops := u :: !uops;
-                    charges := (hazard + scalar_charge eng insn) :: !charges;
+                    charges := (hazard + scalar_charge insn) :: !charges;
                     incr nu;
                     prev_ld :=
                       (match insn with
@@ -694,8 +672,7 @@ let compile_block eng pc0 =
               else begin
                 uops := Svec v :: !uops;
                 charges :=
-                  vector_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
-                    ~lanes:eng.lanes v
+                  vector_charge ~bus:eng.vec_bus_bytes ~lanes:eng.lanes v
                   :: !charges;
                 incr nu;
                 incr pc
@@ -710,19 +687,16 @@ let compile_block eng pc0 =
         (* a branch terminator costs exactly the base cycle (the fill) *)
         let newline = Array.make b_n (-1) in
         let nlines = ref 0 in
-        (match eng.icache with
-        | None -> ()
-        | Some c ->
-            let mask = lnot (Cache.line_bytes c - 1) in
-            let prev = ref min_int in
-            for k = 0 to b_n - 1 do
-              let la = addrs.(pc0 + k) land mask in
-              if la <> !prev then begin
-                newline.(k) <- la;
-                incr nlines;
-                prev := la
-              end
-            done);
+        let mask = lnot (Cache.line_bytes eng.icache - 1) in
+        let prev = ref min_int in
+        for k = 0 to b_n - 1 do
+          let la = addrs.(pc0 + k) land mask in
+          if la <> !prev then begin
+            newline.(k) <- la;
+            incr nlines;
+            prev := la
+          end
+        done;
         let uarr = Array.of_list (List.rev !uops) in
         let bases = Array.map (compile_thunk eng ~lanes:eng.lanes) uarr in
         let thunks =
@@ -798,9 +772,7 @@ let repair_block eng b k =
   stats.Stats.scalar_insns <- stats.Stats.scalar_insns + !scalars;
   stats.Stats.vector_insns <- stats.Stats.vector_insns + !vectors;
   charge eng !cyc;
-  (match eng.icache with
-  | Some c -> Cache.credit_hits c (k + 1 - !lines)
-  | None -> ());
+  Cache.credit_hits eng.icache (k + 1 - !lines);
   eng.out_retired <- eng.out_retired + k + 1;
   eng.out_pending <- None;
   eng.out_pc <- b.b_pc + k
@@ -818,9 +790,7 @@ let[@inline] retire_block eng b =
   stats.Stats.scalar_insns <- stats.Stats.scalar_insns + b.b_scalar;
   stats.Stats.vector_insns <- stats.Stats.vector_insns + b.b_vector;
   charge eng b.b_cycles;
-  (match eng.icache with
-  | Some c -> Cache.credit_hits c (b.b_n - b.b_nlines)
-  | None -> ());
+  Cache.credit_hits eng.icache (b.b_n - b.b_nlines);
   eng.out_retired <- eng.out_retired + b.b_n;
   if not b.b_passthrough then eng.out_pending <- b.b_exit_pending;
   eng.block_execs <- eng.block_execs + 1;
@@ -890,9 +860,7 @@ let repair_super_at eng sb ~bi ~k =
     stats.Stats.scalar_insns <- stats.Stats.scalar_insns + b.b_scalar;
     stats.Stats.vector_insns <- stats.Stats.vector_insns + b.b_vector;
     charge eng b.b_cycles;
-    (match eng.icache with
-    | Some c -> Cache.credit_hits c (b.b_n - b.b_nlines)
-    | None -> ());
+    Cache.credit_hits eng.icache (b.b_n - b.b_nlines);
     eng.out_retired <- eng.out_retired + b.b_n;
     (match b.b_term with
     | T_jump { key; _ } -> record_branch eng ~key ~taken:true
@@ -912,21 +880,18 @@ let repair_super_at eng sb ~bi ~k =
    restores exactly the hit tallies and LRU touches the real-probe path
    would have accumulated. *)
 let replay_probes eng sb ~bi ~k =
-  match eng.icache with
-  | None -> ()
-  | Some _ ->
-      for j = 0 to bi - 1 do
-        let b = sb.s_blocks.(j) in
-        for s = 0 to b.b_n - 1 do
-          let la = b.b_newline.(s) in
-          if la >= 0 then icache_access eng la
-        done
-      done;
-      let fb = sb.s_blocks.(bi) in
-      for s = 0 to k do
-        let la = fb.b_newline.(s) in
-        if la >= 0 then icache_access eng la
-      done
+  for j = 0 to bi - 1 do
+    let b = sb.s_blocks.(j) in
+    for s = 0 to b.b_n - 1 do
+      let la = b.b_newline.(s) in
+      if la >= 0 then icache_access eng la
+    done
+  done;
+  let fb = sb.s_blocks.(bi) in
+  for s = 0 to k do
+    let la = fb.b_newline.(s) in
+    if la >= 0 then icache_access eng la
+  done
 
 (* Steady-state loop execution: whole iterations of the flattened trace
    until the guard (the latch condition) fails or fuel could expire
@@ -980,9 +945,7 @@ let run_super eng sb =
     stats.Stats.scalar_insns <- stats.Stats.scalar_insns + sb.s_scalar;
     stats.Stats.vector_insns <- stats.Stats.vector_insns + sb.s_vector;
     charge eng (sb.s_cycles + stall);
-    (match eng.icache with
-    | Some c -> Cache.credit_hits c sb.s_credits
-    | None -> ());
+    Cache.credit_hits eng.icache sb.s_credits;
     eng.out_retired <- eng.out_retired + sb.s_n;
     eng.out_pending <- p1;
     eng.super_iters <- eng.super_iters + 1;
@@ -1026,9 +989,7 @@ let run_super eng sb =
           stats.Stats.vector_insns <-
             stats.Stats.vector_insns + (k * sb.s_vector);
           charge eng (k * iter_cycles);
-          (match eng.icache with
-          | Some c -> Cache.credit_hits c (k * per_credit)
-          | None -> ());
+          Cache.credit_hits eng.icache (k * per_credit);
           eng.out_retired <- eng.out_retired + (k * sb.s_n);
           eng.super_iters <- eng.super_iters + k;
           if sat then
@@ -1214,31 +1175,29 @@ let form_super eng latch ~head ~cond ~key ~fall =
            evicts. Code is contiguous so this bounds far above any
            real trace; the check guards the theorem's hypothesis. *)
         let fast_ok =
-          match eng.icache with
-          | None -> true
-          | Some c ->
-              let assoc = (Cache.config c).Cache.assoc in
-              let seen = Hashtbl.create 16 in
-              let per_set = Hashtbl.create 16 in
-              let ok = ref true in
+          let c = eng.icache in
+          let assoc = (Cache.config c).Cache.assoc in
+          let seen = Hashtbl.create 16 in
+          let per_set = Hashtbl.create 16 in
+          let ok = ref true in
+          Array.iter
+            (fun b ->
               Array.iter
-                (fun b ->
-                  Array.iter
-                    (fun la ->
-                      if la >= 0 && not (Hashtbl.mem seen la) then begin
-                        Hashtbl.add seen la ();
-                        let set = Cache.set_of c la in
-                        let cnt =
-                          match Hashtbl.find_opt per_set set with
-                          | Some v -> v + 1
-                          | None -> 1
-                        in
-                        Hashtbl.replace per_set set cnt;
-                        if cnt > assoc then ok := false
-                      end)
-                    b.b_newline)
-                blks;
-              !ok
+                (fun la ->
+                  if la >= 0 && not (Hashtbl.mem seen la) then begin
+                    Hashtbl.add seen la ();
+                    let set = Cache.set_of c la in
+                    let cnt =
+                      match Hashtbl.find_opt per_set set with
+                      | Some v -> v + 1
+                      | None -> 1
+                    in
+                    Hashtbl.replace per_set set cnt;
+                    if cnt > assoc then ok := false
+                  end)
+                b.b_newline)
+            blks;
+          !ok
         in
         let gmask, gval, gneg = Cond.mask_test cond in
         latch.b_super <-
@@ -1480,24 +1439,18 @@ let compile_useg eng uc j =
         match compile_suop ins with
         | Some su ->
             acc := su :: !acc;
-            charges := scalar_charge eng ins :: !charges;
+            charges := scalar_charge ins :: !charges;
             incr nu;
             incr i
         | None -> term := Some `Bail)
     | Ucode.UV v ->
         acc := Svec v :: !acc;
-        charges :=
-          vector_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
-            ~lanes:width v
-          :: !charges;
+        charges := vector_charge ~bus:eng.vec_bus_bytes ~lanes:width v :: !charges;
         incr nu;
         incr i
     | Ucode.UG g ->
         acc := Sgov g :: !acc;
-        charges :=
-          governed_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
-            ~lanes:width g
-          :: !charges;
+        charges := governed_charge ~bus:eng.vec_bus_bytes ~lanes:width g :: !charges;
         incr nu;
         incr i
     | Ucode.UB { cond; target } -> term := Some (`B (cond, !i, target))

@@ -49,9 +49,19 @@ type t
 
 (** {2 Static charges}
 
-    The cycles one dispatch costs before any cache or predictor penalty.
-    The stepping interpreter in {!Cpu} and the block engine both charge
-    through these, so the two tiers cannot drift apart. *)
+    The cycles one dispatch costs before any cache or predictor penalty,
+    and those penalties: the ARM-926EJ-S's fixed costs. The stepping
+    interpreter in {!Cpu} and the block engine both charge through
+    these, so the two tiers cannot drift apart. *)
+
+val mem_latency : int
+(** 30: the stall of one instruction- or data-cache line miss. *)
+
+val mul_extra : int
+(** 1: the cycle a multiply (scalar or vector) costs beyond its issue. *)
+
+val mispredict_penalty : int
+(** 3: the pipeline refill after a mispredicted conditional branch. *)
 
 val gather_charge : bus:int -> lanes:int -> Liquid_isa.Esize.t -> int
 (** A gather-style dispatch (a [Vgather], or a recovered permutation's
@@ -59,13 +69,11 @@ val gather_charge : bus:int -> lanes:int -> Liquid_isa.Esize.t -> int
     lane. Lanes do not coalesce, and an element spans beats only when it
     is wider than the [bus]-byte bus. *)
 
-val vector_charge :
-  mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Vinsn.exec -> int
+val vector_charge : bus:int -> lanes:int -> Liquid_visa.Vinsn.exec -> int
 (** One vector instruction: issue, the multiplier and reduction-tree
     extras, and the bus beats of a memory access beyond the first. *)
 
-val governed_charge :
-  mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Governed.t -> int
+val governed_charge : bus:int -> lanes:int -> Liquid_visa.Governed.t -> int
 (** One governed uop. A datapath op pays {!vector_charge} of its
     ungoverned form (a partial count masks lanes; it does not shorten
     the bus or issue timing), a table lookup pays {!gather_charge}, and
@@ -75,20 +83,17 @@ val create :
   image:Image.t ->
   ctx:Sem.ctx ->
   stats:Stats.t ->
-  icache:Cache.t option ->
-  dcache:Cache.t option ->
+  icache:Cache.t ->
+  dcache:Cache.t ->
   bpred:Branch_pred.t ->
-  mem_latency:int ->
-  mul_extra:int ->
-  mispredict_penalty:int ->
   vec_bus_bytes:int ->
   lanes:int option ->
   max_uops:int ->
   fuel:int ->
   t
 (** The engine shares the run's mutable machine state ([ctx], [stats],
-    caches, predictor) with {!Cpu}; the scalar knobs are copied from the
-    config at creation. *)
+    caches, predictor) with {!Cpu}; the bus width, lane count, microcode
+    capacity and watchdog budget are copied from the run at creation. *)
 
 val try_exec :
   t -> pc:int -> retired:int -> pending:Reg.t option -> traces:bool -> bool

@@ -34,39 +34,31 @@ type config = {
   accel_lanes : int option;
   translator : translation option;
   backend : Backend.t;
-  icache : Cache.config option;
-  dcache : Cache.config option;
-  mem_latency : int;
-  mul_extra : int;
-  mispredict_penalty : int;
   vec_bus_bytes : int;
   oracle_translation : bool;
   interrupt_interval : int option;
   on_trace : (trace_event -> unit) option;
   ucode_entries : int;
   max_uops : int;
-  fuel : int;
   fault : Fault.t option;
   blocks : bool;
 }
+
+(* The watchdog's retired-instruction budget when no [Exhaust_fuel]
+   fault sets one. *)
+let default_fuel = 200_000_000
 
 let scalar_config =
   {
     accel_lanes = None;
     translator = None;
     backend = Backend.fixed;
-    icache = Some Cache.arm926_config;
-    dcache = Some Cache.arm926_config;
-    mem_latency = 30;
-    mul_extra = 1;
-    mispredict_penalty = 3;
     vec_bus_bytes = 16;
     oracle_translation = false;
     interrupt_interval = None;
     on_trace = None;
     ucode_entries = 8;
-    max_uops = 64;
-    fuel = 200_000_000;
+    max_uops = Translator.default_max_uops;
     fault = None;
     blocks = true;
   }
@@ -99,8 +91,8 @@ type run = {
   regs : int array;
   regions : region_report list;
   ucode_max_occupancy : int;
-  icache_counters : Cache.counters option;
-  dcache_counters : Cache.counters option;
+  icache_counters : Cache.counters;
+  dcache_counters : Cache.counters;
   bpred_counters : Branch_pred.counters;
   ucache_counters : Ucode_cache.counters;
   blocks_compiled : int;
@@ -145,10 +137,13 @@ type state = {
   image : Image.t;
   ctx : Sem.ctx;
   stats : Stats.t;
-  icache : Cache.t option;
-  dcache : Cache.t option;
+  icache : Cache.t;
+  dcache : Cache.t;
   bpred : Branch_pred.t;
   ucache : Ucode_cache.t;
+  fuel : int;
+      (* the watchdog's retired-instruction budget: an armed
+         [Exhaust_fuel]'s, else [default_fuel] *)
   oracle : (int, Ucode.t option) Hashtbl.t;
       (* oracle-translation mode: microcode served as if the binary
          carried native SIMD instructions, bypassing the cache.
@@ -220,20 +215,14 @@ let[@inline] trace_uop st entry index uop =
    timing consequence of a miss. *)
 let charge_icache st addr =
   st.stats.Stats.fetches <- st.stats.Stats.fetches + 1;
-  match st.icache with
-  | None -> ()
-  | Some c -> (
-      match Cache.access c addr with
-      | Cache.Hit -> ()
-      | Cache.Miss -> charge st st.cfg.mem_latency)
+  match Cache.access st.icache addr with
+  | Cache.Hit -> ()
+  | Cache.Miss -> charge st Blocks.mem_latency
 
 let charge_dcache st ~addr ~bytes ~write =
   (if write then st.stats.Stats.stores <- st.stats.Stats.stores + 1
    else st.stats.Stats.loads <- st.stats.Stats.loads + 1);
-  match st.dcache with
-  | None -> ()
-  | Some c ->
-      charge st (Cache.access_range c ~addr ~bytes * st.cfg.mem_latency)
+  charge st (Cache.access_range st.dcache ~addr ~bytes * Blocks.mem_latency)
 
 (* Account every memory access the last [Sem.exec_*] recorded in the
    context scratch buffer. *)
@@ -252,8 +241,7 @@ let charge_accesses st =
 let charge_vector st (v : Vinsn.exec) =
   st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
   charge st
-    (Blocks.vector_charge ~mul_extra:st.cfg.mul_extra ~bus:st.cfg.vec_bus_bytes
-       ~lanes:st.ctx.Sem.lanes v)
+    (Blocks.vector_charge ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes v)
 
 let diag st fault =
   Diag.Error
@@ -265,7 +253,7 @@ let diag st fault =
    position (pc, cycle, retired count) instead of a bare string. *)
 let fuel_check st =
   st.retired <- st.retired + 1;
-  if st.retired > st.cfg.fuel then raise (diag st Diag.Fuel_exhausted)
+  if st.retired > st.fuel then raise (diag st Diag.Fuel_exhausted)
 
 (* The single accounting site for conditional branches: the predictor
    owns the lookup/mispredict counters (the [Stats] mirror is derived at
@@ -273,7 +261,7 @@ let fuel_check st =
    for image branches and a synthetic id for microcode branches. *)
 let record_branch st ~key ~taken =
   if not (Branch_pred.predict_and_update st.bpred ~pc:key ~taken) then
-    charge st st.cfg.mispredict_penalty
+    charge st Blocks.mispredict_penalty
 
 let load_use_stall st insn =
   (match st.last_load_dst with
@@ -416,7 +404,7 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
         st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
         charge st 1;
         (match i with
-        | Insn.Dp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
+        | Insn.Dp { op = Opcode.Mul; _ } -> charge st Blocks.mul_extra
         | _ -> ());
         (match Sem.exec_scalar st.ctx ~pc:(-1) i with
         | Sem.Next -> ()
@@ -444,8 +432,8 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
         | Governed.Set_active _ | Governed.Advance _ ->
             st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1);
         charge st
-          (Blocks.governed_charge ~mul_extra:st.cfg.mul_extra
-             ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes g);
+          (Blocks.governed_charge ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes
+             g);
         Sem.exec_governed st.ctx g;
         charge_accesses st;
         incr ui
@@ -661,7 +649,7 @@ let step st =
       charge st 1;
       load_use_stall st insn;
       (match insn with
-      | Insn.Dp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
+      | Insn.Dp { op = Opcode.Mul; _ } -> charge st Blocks.mul_extra
       | _ -> ());
       let outcome = Sem.exec_scalar st.ctx ~pc insn in
       charge_accesses st;
@@ -711,10 +699,10 @@ let step st =
           st.pc <- pc + 1)
 
 let init_state config image =
-  let config =
+  let fuel =
     match config.fault with
-    | Some (Fault.Exhaust_fuel { budget }) -> { config with fuel = budget }
-    | _ -> config
+    | Some (Fault.Exhaust_fuel { budget }) -> budget
+    | _ -> default_fuel
   in
   let mem = Memory.create () in
   Image.load_memory image mem;
@@ -723,8 +711,8 @@ let init_state config image =
   | Some l -> ctx.Sem.lanes <- l
   | None -> ());
   let stats = Stats.create () in
-  let icache = Option.map Cache.create config.icache in
-  let dcache = Option.map Cache.create config.dcache in
+  let icache = Cache.create Cache.arm926_config in
+  let dcache = Cache.create Cache.arm926_config in
   let bpred = Branch_pred.create () in
   (* The block engine is an execution strategy with bit-identical
      counters; it still yields to [step] whenever fidelity demands
@@ -737,10 +725,8 @@ let init_state config image =
     if config.blocks && Option.is_none config.on_trace then
       Some
         (Blocks.create ~image ~ctx ~stats ~icache ~dcache ~bpred
-           ~mem_latency:config.mem_latency ~mul_extra:config.mul_extra
-           ~mispredict_penalty:config.mispredict_penalty
            ~vec_bus_bytes:config.vec_bus_bytes ~lanes:config.accel_lanes
-           ~max_uops:config.max_uops ~fuel:config.fuel)
+           ~max_uops:config.max_uops ~fuel)
     else None
   in
   let st =
@@ -753,6 +739,7 @@ let init_state config image =
       dcache;
       bpred;
       ucache = Ucode_cache.create ~entries:config.ucode_entries;
+      fuel;
       oracle = Hashtbl.create 8;
       regions = Hashtbl.create 8;
       region_labels =
@@ -797,16 +784,10 @@ let init_state config image =
    only place the mirror fields are assigned, so they cannot drift. *)
 let sync_stats st =
   let s = st.stats in
-  (match st.icache with
-  | Some c ->
-      s.Stats.icache_hits <- Cache.hits c;
-      s.Stats.icache_misses <- Cache.misses c
-  | None -> ());
-  (match st.dcache with
-  | Some c ->
-      s.Stats.dcache_hits <- Cache.hits c;
-      s.Stats.dcache_misses <- Cache.misses c
-  | None -> ());
+  s.Stats.icache_hits <- Cache.hits st.icache;
+  s.Stats.icache_misses <- Cache.misses st.icache;
+  s.Stats.dcache_hits <- Cache.hits st.dcache;
+  s.Stats.dcache_misses <- Cache.misses st.dcache;
   s.Stats.branches <- Branch_pred.lookups st.bpred;
   s.Stats.branch_mispredicts <- Branch_pred.mispredicts st.bpred;
   s.Stats.ucode_installs <- Ucode_cache.installs st.ucache;
@@ -834,8 +815,8 @@ let collect st mem ctx =
     regs = Array.copy ctx.Sem.regs;
     regions;
     ucode_max_occupancy = Ucode_cache.max_occupancy st.ucache;
-    icache_counters = Option.map Cache.counters st.icache;
-    dcache_counters = Option.map Cache.counters st.dcache;
+    icache_counters = Cache.counters st.icache;
+    dcache_counters = Cache.counters st.dcache;
     bpred_counters = Branch_pred.counters st.bpred;
     ucache_counters = Ucode_cache.counters st.ucache;
     blocks_compiled = (match st.eng with Some e -> Blocks.built e | None -> 0);

@@ -3,18 +3,26 @@
     with a parameterized SIMD accelerator, the post-retirement dynamic
     translator, and the microcode cache (Figure 1).
 
+    The machine is the paper's: its caches, memory latency, multiply
+    and mispredict costs and watchdog are fixed, not configured.
     Timing model (approximate, first-order):
     - one cycle per retired instruction;
-    - extra latency for multiplies;
-    - instruction and data cache misses stall for the memory latency;
+    - one extra cycle for a multiply ({!Blocks.mul_extra});
+    - 16 KB 64-way instruction and data caches
+      ({!Liquid_machine.Cache.arm926_config}); a line miss stalls for
+      the 30-cycle memory latency ({!Blocks.mem_latency});
     - a load immediately consumed by the next instruction stalls one
       cycle (load-use);
     - conditional branches consult a BTB + 2-bit-counter predictor; a
-      mispredict costs a pipeline refill;
+      mispredict costs a 3-cycle pipeline refill
+      ({!Blocks.mispredict_penalty});
     - vector memory operations charge the data cache once per line
       spanned;
     - microcode executes out of the microcode cache and therefore skips
-      instruction-cache accesses.
+      instruction-cache accesses;
+    - a run that retires more than 200,000,000 instructions stops with a
+      [Fuel_exhausted] {!Diag.t} (the watchdog), unless an armed
+      {!Fault.Exhaust_fuel} sets another budget.
 
     Region calls (the unique branch-and-link) consult the microcode
     cache. On a ready hit, the front end substitutes the SIMD microcode
@@ -71,11 +79,6 @@ type config = {
           RVV-style strip-mined ISA ({!Backend.rvv}). Every translator
           session — live or oracle — emits microcode through this
           backend. *)
-  icache : Cache.config option;
-  dcache : Cache.config option;
-  mem_latency : int;
-  mul_extra : int;
-  mispredict_penalty : int;
   vec_bus_bytes : int;
       (** memory-bus width: a vector load/store costs one cycle per bus
           beat beyond the first *)
@@ -89,19 +92,18 @@ type config = {
           (paper §4.1) and retried on a later region execution *)
   on_trace : (trace_event -> unit) option;
       (** observer invoked at every retirement and region event *)
-  ucode_entries : int;
+  ucode_entries : int;  (** microcode cache entries *)
   max_uops : int;
-  fuel : int;
-      (** retired-instruction budget before a [Fuel_exhausted]
-          {!Diag.t} stops the run *)
+      (** microcode buffer capacity, {!Translator.default_max_uops}
+          unless a buffer ablation varies it *)
   fault : Fault.t option;
       (** the one fault this run injects; [None] = off. The run counts
           its own feed events and region calls and fires the fault when
           it reaches the armed site ({!run.fault_fired}); an
-          [Exhaust_fuel] budget replaces [fuel]. The block engine stays
-          on: evictions happen at region calls, which always step, its
-          fuel bail-out honours the budget, and only the verify
-          iteration that holds a feed site steps. *)
+          [Exhaust_fuel] budget replaces the watchdog's 200,000,000. The
+          block engine stays on: evictions happen at region calls, which
+          always step, its fuel bail-out honours the budget, and only
+          the verify iteration that holds a feed site steps. *)
   blocks : bool;
       (** dispatch through the pre-decoded translation-block engine
           ({!Blocks}); default on. Bit-identical to stepping — this is an
@@ -155,10 +157,10 @@ type run = {
   regs : int array;
   regions : region_report list;
   ucode_max_occupancy : int;
-  icache_counters : Cache.counters option;
+  icache_counters : Cache.counters;
       (** the instruction cache's own tally; [stats.icache_*] is derived
           from it at collection (single writer) *)
-  dcache_counters : Cache.counters option;
+  dcache_counters : Cache.counters;  (** likewise for the data cache *)
   bpred_counters : Branch_pred.counters;
   ucache_counters : Ucode_cache.counters;
   blocks_compiled : int;

@@ -20,5 +20,5 @@ type t =
           [call] of the run *)
   | Exhaust_fuel of { budget : int }
       (** run with a retired-instruction watchdog of [budget] in place
-          of {!Cpu.config.fuel}; the run stops with a structured
+          of {!Cpu}'s 200,000,000; the run stops with a structured
           [Fuel_exhausted] diagnostic *)

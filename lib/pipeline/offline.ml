@@ -5,8 +5,8 @@ module Memory = Liquid_machine.Memory
 
 let step_budget = 5_000_000
 
-let translate_region_result ?(max_uops = 64) ?(backend = Backend.fixed) ?state
-    ?tally ~image ~lanes ~entry () =
+let translate_region_result ?(max_uops = Translator.default_max_uops)
+    ?(backend = Backend.fixed) ?state ?tally ~image ~lanes ~entry () =
   let mem =
     match state with
     | Some (live : Sem.ctx) -> Memory.copy live.Sem.mem

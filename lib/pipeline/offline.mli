@@ -27,7 +27,8 @@ val translate_region_result :
 (** [Error diag] when the region never returns within a generous
     instruction budget, escapes the image, or contains vector
     instructions. A translation {e abort} is not an error: it comes back
-    as [Ok (Aborted _)]. [backend] defaults to {!Backend.fixed}.
+    as [Ok (Aborted _)]. [max_uops] defaults to
+    {!Translator.default_max_uops}, [backend] to {!Backend.fixed}.
     When [tally] is given, the session's {!Translator.perm_tally} is
     written into it on the [Ok] paths (left untouched on [Error]). *)
 

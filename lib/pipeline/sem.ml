@@ -70,8 +70,6 @@ type access = { addr : int; bytes : int; write : bool }
 
 type effect = { value : int option; accesses : access list; taken : bool option }
 
-let no_effect = { value = None; accesses = []; taken = None }
-
 let[@inline] clear_effect ctx =
   ctx.e_value <- no_value;
   ctx.e_taken <- -1;
@@ -166,32 +164,13 @@ let step_scalar ctx ~pc insn =
   let outcome = exec_scalar ctx ~pc insn in
   (outcome, last_effect ctx)
 
-(* Pre-resolved single-instruction kernels for the translation-block
-   engine ({!Liquid_pipeline.Blocks}): the block compiler resolves
-   register names to indices, folds immediates (including [Word]
-   normalization and index shifts) once, and replays each retired
-   instruction through one of these. Each kernel is the corresponding
-   [exec_scalar] arm minus decode and scratch-effect recording — the
-   scratch effect is only ever consumed by a live translator session,
-   and a session's verified iterations capture their values from the
-   destination registers instead. *)
-
-let[@inline] kernel_mov_imm ctx ~dst v = ctx.regs.(dst) <- v
-
-let[@inline] kernel_mov_reg ctx ~dst ~src =
-  ctx.regs.(dst) <- Word.of_int ctx.regs.(src)
-
-let[@inline] kernel_dp_imm ctx ~op ~dst ~src1 imm =
-  ctx.regs.(dst) <- Opcode.eval op ctx.regs.(src1) imm
-
-let[@inline] kernel_dp_reg ctx ~op ~dst ~src1 ~src2 =
-  ctx.regs.(dst) <- Opcode.eval op ctx.regs.(src1) ctx.regs.(src2)
-
-let[@inline] kernel_cmp_imm ctx ~src1 imm =
-  ctx.flags <- Flags.of_compare ctx.regs.(src1) imm
-
-let[@inline] kernel_cmp_reg ctx ~src1 ~src2 =
-  ctx.flags <- Flags.of_compare ctx.regs.(src1) ctx.regs.(src2)
+(* Pre-resolved load/store kernels for the translation-block engine
+   ({!Liquid_pipeline.Blocks}), whose block compiler resolves register
+   names to indices and computes the address. Each is the [exec_scalar]
+   arm minus decode and scratch-effect recording — the scratch effect is
+   only ever consumed by a live translator session, and a session's
+   verified iterations capture their values from the destination
+   registers instead. *)
 
 let[@inline] kernel_ld ctx ~addr ~bytes ~signed ~dst =
   ctx.regs.(dst) <- Memory.read ctx.mem ~addr ~bytes ~signed
@@ -254,103 +233,13 @@ let encode_lanes ctx s ~w ~bytes =
       done
   | n -> invalid_arg (Printf.sprintf "Sem: bad element size %d" n)
 
-let exec_vector ctx vinsn =
-  clear_effect ctx;
-  let w = ctx.lanes in
-  match vinsn with
-  | Vinsn.Vld { esize; signed; dst; base; index } ->
-      let bytes = Esize.bytes esize in
-      let first = ctx.regs.(Reg.index index) in
-      let start = Word.add (base_value base ctx) (Word.mul first bytes) in
-      let d = ctx.vregs.(Vreg.index dst) in
-      Memory.read_block ctx.mem ~addr:start ~len:(w * bytes) ctx.blk;
-      decode_lanes ctx d ~w ~bytes ~signed;
-      add_access ctx start (w * bytes) false
-  | Vinsn.Vst { esize; src; base; index } ->
-      let bytes = Esize.bytes esize in
-      let first = ctx.regs.(Reg.index index) in
-      let start = Word.add (base_value base ctx) (Word.mul first bytes) in
-      let s = ctx.vregs.(Vreg.index src) in
-      encode_lanes ctx s ~w ~bytes;
-      Memory.write_block ctx.mem ~addr:start ~len:(w * bytes) ctx.blk;
-      add_access ctx start (w * bytes) true
-  | Vinsn.Vlds { esize; signed; dst; base; index; stride; phase } ->
-      let bytes = Esize.bytes esize in
-      let first = ctx.regs.(Reg.index index) in
-      let base_addr = base_value base ctx in
-      let d = ctx.vregs.(Vreg.index dst) in
-      for i = 0 to w - 1 do
-        let elem = (stride * (first + i)) + phase in
-        d.(i) <- Memory.read ctx.mem ~addr:(base_addr + (elem * bytes)) ~bytes ~signed
-      done;
-      let start = base_addr + (((stride * first) + phase) * bytes) in
-      add_access ctx start (((stride * (w - 1)) + 1) * bytes) false
-  | Vinsn.Vsts { esize; src; base; index; stride; phase } ->
-      let bytes = Esize.bytes esize in
-      let first = ctx.regs.(Reg.index index) in
-      let base_addr = base_value base ctx in
-      let s = ctx.vregs.(Vreg.index src) in
-      for i = 0 to w - 1 do
-        let elem = (stride * (first + i)) + phase in
-        Memory.write ctx.mem ~addr:(base_addr + (elem * bytes)) ~bytes s.(i)
-      done;
-      let start = base_addr + (((stride * first) + phase) * bytes) in
-      add_access ctx start (((stride * (w - 1)) + 1) * bytes) true
-  | Vinsn.Vgather { esize; signed; dst; base; index_v } ->
-      let bytes = Esize.bytes esize in
-      let base_addr = base_value base ctx in
-      let idx = ctx.vregs.(Vreg.index index_v) in
-      let d = ctx.vregs.(Vreg.index dst) in
-      let tmp = ctx.gather_tmp in
-      (* Conservative access accounting: one element-sized touch per
-         lane, staged through [tmp] since [idx] may alias [dst]. *)
-      for i = 0 to w - 1 do
-        let addr = base_addr + (idx.(i) * bytes) in
-        tmp.(i) <- Memory.read ctx.mem ~addr ~bytes ~signed;
-        add_access ctx addr bytes false
-      done;
-      Array.blit tmp 0 d 0 w
-  | Vinsn.Vdp { op; dst; src1; src2 } ->
-      let a = ctx.vregs.(Vreg.index src1) in
-      let d = ctx.vregs.(Vreg.index dst) in
-      (* Lane [i] reads only lane [i] of each source, so writing in place
-         is safe even when [dst] aliases a source. *)
-      for i = 0 to w - 1 do
-        d.(i) <- Opcode.eval op a.(i) (vsrc_lane ctx src2 i)
-      done
-  | Vinsn.Vsat { op; esize; signed; dst; src1; src2 } ->
-      let a = ctx.vregs.(Vreg.index src1) in
-      let b = ctx.vregs.(Vreg.index src2) in
-      let d = ctx.vregs.(Vreg.index dst) in
-      let f = match op with `Add -> Word.sat_add | `Sub -> Word.sat_sub in
-      for i = 0 to w - 1 do
-        d.(i) <- f esize ~signed a.(i) b.(i)
-      done
-  | Vinsn.Vperm { pattern; dst; src } ->
-      if not (Perm.supported pattern ~lanes:w) then
-        raise
-          (Sigill
-             (Format.asprintf "permutation %a unsupported at %d lanes" Perm.pp
-                pattern w));
-      let s = Array.sub ctx.vregs.(Vreg.index src) 0 w in
-      let permuted = Perm.apply pattern s in
-      Array.blit permuted 0 ctx.vregs.(Vreg.index dst) 0 w
-  | Vinsn.Vred { op; acc; src } ->
-      let s = ctx.vregs.(Vreg.index src) in
-      let folded = ref s.(0) in
-      for i = 1 to w - 1 do
-        folded := Opcode.eval op !folded s.(i)
-      done;
-      let v = Opcode.eval op ctx.regs.(Reg.index acc) !folded in
-      ctx.regs.(Reg.index acc) <- v;
-      ctx.e_value <- v
-
 (* Governed execution under [k] active lanes 0..k-1 — a VLA prefix
    predicate or an RVV grant, which are the same count — with zeroing
    semantics: inactive destination lanes are cleared, inactive
    load/store lanes touch no memory, reductions fold active lanes only.
-   The common full-count case delegates to {!exec_vector} so the two
-   paths cannot drift. *)
+   At [k = ctx.lanes] this is the full-width instruction (every fill is
+   empty), so it is also the ungoverned semantics: {!exec_vector} runs
+   through it, and the two cannot drift. *)
 let exec_vector_masked ctx ~k vinsn =
   let w = ctx.lanes in
   match vinsn with
@@ -409,6 +298,8 @@ let exec_vector_masked ctx ~k vinsn =
       let idx = ctx.vregs.(Vreg.index index_v) in
       let d = ctx.vregs.(Vreg.index dst) in
       let tmp = ctx.gather_tmp in
+      (* Conservative access accounting: one element-sized touch per
+         lane, staged through [tmp] since [idx] may alias [dst]. *)
       for i = 0 to k - 1 do
         let addr = base_addr + (idx.(i) * bytes) in
         tmp.(i) <- Memory.read ctx.mem ~addr ~bytes ~signed;
@@ -419,6 +310,8 @@ let exec_vector_masked ctx ~k vinsn =
   | Vinsn.Vdp { op; dst; src1; src2 } ->
       let a = ctx.vregs.(Vreg.index src1) in
       let d = ctx.vregs.(Vreg.index dst) in
+      (* Lane [i] reads only lane [i] of each source, so writing in place
+         is safe even when [dst] aliases a source. *)
       for i = 0 to k - 1 do
         d.(i) <- Opcode.eval op a.(i) (vsrc_lane ctx src2 i)
       done;
@@ -449,6 +342,21 @@ let exec_vector_masked ctx ~k vinsn =
         ctx.regs.(Reg.index acc) <- v;
         ctx.e_value <- v
       end
+
+let exec_vector ctx vinsn =
+  clear_effect ctx;
+  match vinsn with
+  | Vinsn.Vperm { pattern; dst; src } ->
+      let w = ctx.lanes in
+      if not (Perm.supported pattern ~lanes:w) then
+        raise
+          (Sigill
+             (Format.asprintf "permutation %a unsupported at %d lanes" Perm.pp
+                pattern w));
+      let s = Array.sub ctx.vregs.(Vreg.index src) 0 w in
+      let permuted = Perm.apply pattern s in
+      Array.blit permuted 0 ctx.vregs.(Vreg.index dst) 0 w
+  | _ -> exec_vector_masked ctx ~k:ctx.lanes vinsn
 
 let[@inline] active_count ~lanes c bound =
   let k = bound - c in

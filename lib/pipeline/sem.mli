@@ -70,8 +70,6 @@ type effect = {
   taken : bool option;  (** for conditional branches *)
 }
 
-val no_effect : effect
-
 val exec_scalar : ctx -> pc:int -> Insn.exec -> outcome
 (** Executes one scalar instruction, recording its effect in the context
     scratch fields ([e_value], [e_taken], [e_nacc]/[acc_*]) without
@@ -122,23 +120,17 @@ val step_vector : ctx -> Vinsn.exec -> effect
 
 (** {1 Pre-resolved kernels}
 
-    Inlinable single-instruction entry points for the translation-block
-    engine ({!Liquid_pipeline.Blocks}). Each is the matching
+    Inlinable load/store entry points for the translation-block engine
+    ({!Liquid_pipeline.Blocks}), which compiles the other scalar
+    instructions to closures of its own. Each is the matching
     {!exec_scalar} arm with decode and scratch-effect recording already
-    paid at block-compile time: register names become indices ([dst],
-    [src], [src1], [src2] are {!Liquid_isa.Reg.index} values), the [Mov]
-    immediate arrives already [Word]-normalized, and load/store
-    addresses arrive fully computed. Semantically equivalent to
-    [exec_scalar] on the same instruction; the scratch effect they skip
-    is only observable by a live translator session, whose verified
-    iterations read the destination registers instead. *)
+    paid at block-compile time: [dst] and [src] are
+    {!Liquid_isa.Reg.index} values and the address arrives fully
+    computed. Semantically equivalent to [exec_scalar] on the same
+    instruction; the scratch effect they skip is only observable by a
+    live translator session, whose verified iterations read the
+    destination registers instead. *)
 
-val kernel_mov_imm : ctx -> dst:int -> int -> unit
-val kernel_mov_reg : ctx -> dst:int -> src:int -> unit
-val kernel_dp_imm : ctx -> op:Opcode.t -> dst:int -> src1:int -> int -> unit
-val kernel_dp_reg : ctx -> op:Opcode.t -> dst:int -> src1:int -> src2:int -> unit
-val kernel_cmp_imm : ctx -> src1:int -> int -> unit
-val kernel_cmp_reg : ctx -> src1:int -> src2:int -> unit
 val kernel_ld : ctx -> addr:int -> bytes:int -> signed:bool -> dst:int -> unit
 val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
 

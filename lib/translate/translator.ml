@@ -3,8 +3,10 @@ open Liquid_visa
 
 type config = { lanes : int; max_uops : int; backend : Backend.t }
 
+let default_max_uops = 64
+
 let default_config ?(backend = Backend.fixed) ~lanes () =
-  { lanes; max_uops = 64; backend }
+  { lanes; max_uops = default_max_uops; backend }
 
 type result = Translated of Ucode.t | Aborted of Abort.t
 

@@ -42,8 +42,14 @@ type config = {
   backend : Backend.t;  (** the accelerator target microcode is emitted for *)
 }
 
+val default_max_uops : int
+(** The paper's 64-uop microcode buffer: the capacity every machine
+    configuration and offline translation uses unless it asks for
+    another. *)
+
 val default_config : ?backend:Backend.t -> lanes:int -> unit -> config
-(** [max_uops = 64]; [backend] defaults to {!Backend.fixed}. *)
+(** [max_uops = default_max_uops]; [backend] defaults to
+    {!Backend.fixed}. *)
 
 type result = Translated of Ucode.t | Aborted of Abort.t
 

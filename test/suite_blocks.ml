@@ -301,7 +301,12 @@ let test_session_fuel () =
   List.iter
     (fun backend ->
       for fuel = 9 to 40 do
-        let config = { (live_config ~backend ()) with Cpu.fuel } in
+        let config =
+          {
+            (live_config ~backend ()) with
+            Cpu.fault = Some (Fault.Exhaust_fuel { budget = fuel });
+          }
+        in
         match
           ( Cpu.run_result ~config image,
             Cpu.run_result ~config:{ config with Cpu.blocks = false } image )

@@ -118,16 +118,11 @@ let explicit_mirror_mismatches (run : Cpu.run) =
   let expect name a b =
     if a <> b then bad := Printf.sprintf "%s: %d <> %d" name a b :: !bad
   in
-  (match run.Cpu.icache_counters with
-  | None -> ()
-  | Some c ->
-      expect "icache hits" s.Stats.icache_hits c.Cache.c_hits;
-      expect "icache misses" s.Stats.icache_misses c.Cache.c_misses);
-  (match run.Cpu.dcache_counters with
-  | None -> ()
-  | Some c ->
-      expect "dcache hits" s.Stats.dcache_hits c.Cache.c_hits;
-      expect "dcache misses" s.Stats.dcache_misses c.Cache.c_misses);
+  let ic = run.Cpu.icache_counters and dc = run.Cpu.dcache_counters in
+  expect "icache hits" s.Stats.icache_hits ic.Cache.c_hits;
+  expect "icache misses" s.Stats.icache_misses ic.Cache.c_misses;
+  expect "dcache hits" s.Stats.dcache_hits dc.Cache.c_hits;
+  expect "dcache misses" s.Stats.dcache_misses dc.Cache.c_misses;
   expect "branches" s.Stats.branches run.Cpu.bpred_counters.Branch_pred.p_lookups;
   expect "mispredicts" s.Stats.branch_mispredicts
     run.Cpu.bpred_counters.Branch_pred.p_mispredicts;
@@ -205,12 +200,12 @@ let test_engine_marker () =
             (fun i (c : Snapshot.counter) ->
               let name = c.Snapshot.section ^ "." ^ c.Snapshot.key in
               if c.Snapshot.engine then begin
-                Alcotest.(check (option int))
-                  (what ^ ": stepping " ^ name) (Some 0) off.Snapshot.s_counters.(i);
-                if on.Snapshot.s_counters.(i) <> Some 0 then engine_ran := true
+                Alcotest.(check int)
+                  (what ^ ": stepping " ^ name) 0 off.Snapshot.s_counters.(i);
+                if on.Snapshot.s_counters.(i) <> 0 then engine_ran := true
               end
               else
-                Alcotest.(check (option int))
+                Alcotest.(check int)
                   (what ^ ": " ^ name) off.Snapshot.s_counters.(i)
                   on.Snapshot.s_counters.(i))
             Snapshot.registry;
@@ -362,21 +357,10 @@ let test_schema_rejects () =
     (fun name -> rejects ("a document without " ^ name) (strip name json))
     ([ "schema"; "label"; "variant"; "regions"; "histograms"; "invariants" ]
     @ Snapshot.sections);
-  (* Without caches, exactly the nullable sections read [null]; the
-     document still validates and the invariants still hold. *)
-  let config = { (Cpu.liquid_config ~lanes:8) with Cpu.icache = None; Cpu.dcache = None } in
-  let program = Runner.program_of (find "FIR") (Helpers.liquid 8) in
-  let snap = Snapshot.of_run (Cpu.run ~config (Image.of_program program)) in
-  let json = Snapshot.to_json snap in
-  check_case "cacheless invariants" (Snapshot.violations snap);
-  check_case "cacheless schema" (Schema.snapshot json);
+  (* every unit exists on every machine, so no section may be [null] *)
   List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (s ^ " is null iff nullable") (Snapshot.nullable s)
-        (Json.member s json = Some Json.Null))
-    Snapshot.sections;
-  rejects "a null stats section" (null "stats" json)
+    (fun name -> rejects ("a null " ^ name ^ " section") (null name json))
+    Snapshot.sections
 
 (* Every registered invariant can fire: on a clean FIR liquid:8 snapshot,
    nudging one counter the invariant reads yields exactly that named
@@ -388,9 +372,7 @@ let test_invariants_fire () =
   let bump name (snap : Snapshot.t) =
     let values = Array.copy snap.Snapshot.s_counters in
     let i = Snapshot.index name in
-    (match values.(i) with
-    | Some v -> values.(i) <- Some (v + 1)
-    | None -> Alcotest.failf "FIR liquid:8 snapshot has no counter %s" name);
+    values.(i) <- values.(i) + 1;
     { snap with Snapshot.s_counters = values }
   in
   (* a fresh snapshot of the same run, so the shared one stays clean *)

@@ -8,6 +8,7 @@ open Liquid_visa
 open Liquid_prog
 open Liquid_scalarize
 module Cpu = Liquid_pipeline.Cpu
+module Sem = Liquid_pipeline.Sem
 open Helpers
 open Build
 module Kernels = Liquid_workloads.Kernels
@@ -626,11 +627,9 @@ let gen_config : Cpu.config QCheck.Gen.t =
   let base = Cpu.liquid_config ~lanes in
   {
     base with
-    Cpu.mem_latency = oneofl [ 1; 10; 30; 100 ] st;
     Cpu.vec_bus_bytes = oneofl [ 4; 8; 16; 32 ] st;
     Cpu.ucode_entries = oneofl [ 1; 2; 8 ] st;
     Cpu.max_uops = oneofl [ 8; 32; 64 ] st;
-    Cpu.mispredict_penalty = oneofl [ 0; 3; 10 ] st;
     Cpu.translator =
       Some
         {
@@ -638,17 +637,15 @@ let gen_config : Cpu.config QCheck.Gen.t =
           Cpu.kind = (if bool st then Cpu.Hardware else Cpu.Software);
         };
     Cpu.interrupt_interval = oneofl [ None; Some 500; Some 5000 ] st;
-    Cpu.icache = (if bool st then base.Cpu.icache else None);
-    Cpu.dcache = (if bool st then base.Cpu.dcache else None);
     Cpu.oracle_translation = bool st;
   }
 
 let config_arb =
   QCheck.make
     ~print:(fun (c : Cpu.config) ->
-      Printf.sprintf "lanes=%s mem=%d bus=%d entries=%d uops=%d"
+      Printf.sprintf "lanes=%s bus=%d entries=%d uops=%d"
         (match c.Cpu.accel_lanes with Some l -> string_of_int l | None -> "none")
-        c.Cpu.mem_latency c.Cpu.vec_bus_bytes c.Cpu.ucode_entries c.Cpu.max_uops)
+        c.Cpu.vec_bus_bytes c.Cpu.ucode_entries c.Cpu.max_uops)
     gen_config
 
 let machine_robustness_props =
@@ -682,3 +679,206 @@ let machine_robustness_props =
   ]
 
 let tests = tests @ machine_robustness_props
+
+(* --- compiled vector and governed ops vs the interpreter --- *)
+
+(* The block engine runs every vector and governed micro-op through a
+   closure from [Sem.compile_vector]/[Sem.compile_governed]; the stepping
+   interpreter runs [Sem.exec_vector]/[Sem.exec_governed]. Each case
+   builds two identical contexts, runs the op twice on each (the second
+   run re-executes the same closure on the state the first left), and
+   compares everything the compiled form must keep exact: registers,
+   vector registers, governor counts, flags, memory, the access scratch
+   prefix, the fast/masked/index-build tallies and the [Sigill] raised.
+   [e_value]/[e_taken] are skipped by contract and not compared. *)
+
+type sem_op = V of Vinsn.exec | G of Governed.t
+
+type sem_case = {
+  sc_lanes : int;
+  sc_op : sem_op;
+  sc_regs : int array;
+  sc_vregs : int array array;
+  sc_preds : int array;
+  sc_flags : int * int;  (** a compare that sets the initial flags *)
+  sc_mem : (int * int) list;  (** initial word writes *)
+}
+
+let sem_case_gen : sem_case QCheck.Gen.t =
+ fun st ->
+  let open QCheck.Gen in
+  let lanes = oneofl [ 2; 4; 8; 16 ] st in
+  let small = int_range (-4) 40 in
+  let word = int_range (-1 lsl 31) ((1 lsl 31) - 1) in
+  let lane_value = oneof [ small; word ] in
+  let stride st = oneofl [ 2; 4 ] st in
+  let vsrc st =
+    match int_range 0 3 st with
+    | 0 -> Vinsn.VR (gen_vreg st)
+    | 1 -> Vinsn.VImm (gen_imm st)
+    | 2 -> Vinsn.VConst (Array.init lanes (fun _ -> lane_value st))
+    | _ -> Vinsn.VConst (Array.init (1 + int_range 0 15 st) (fun i -> i - 3))
+  in
+  let vinsn st =
+    match int_range 0 8 st with
+    | 0 ->
+        Vinsn.Vld
+          {
+            esize = gen_esize st;
+            signed = bool st;
+            dst = gen_vreg st;
+            base = gen_base st;
+            index = gen_reg st;
+          }
+    | 1 ->
+        Vinsn.Vst
+          { esize = gen_esize st; src = gen_vreg st; base = gen_base st; index = gen_reg st }
+    | 2 ->
+        let stride = stride st in
+        Vinsn.Vlds
+          {
+            esize = gen_esize st;
+            signed = bool st;
+            dst = gen_vreg st;
+            base = gen_base st;
+            index = gen_reg st;
+            stride;
+            phase = int_range 0 (stride - 1) st;
+          }
+    | 3 ->
+        let stride = stride st in
+        Vinsn.Vsts
+          {
+            esize = gen_esize st;
+            src = gen_vreg st;
+            base = gen_base st;
+            index = gen_reg st;
+            stride;
+            phase = int_range 0 (stride - 1) st;
+          }
+    | 4 ->
+        Vinsn.Vgather
+          {
+            esize = gen_esize st;
+            signed = bool st;
+            dst = gen_vreg st;
+            base = gen_base st;
+            index_v = gen_vreg st;
+          }
+    | 5 -> Vinsn.Vdp { op = gen_opcode st; dst = gen_vreg st; src1 = gen_vreg st; src2 = vsrc st }
+    | 6 ->
+        Vinsn.Vsat
+          {
+            op = (if bool st then `Add else `Sub);
+            esize = gen_esize st;
+            signed = bool st;
+            dst = gen_vreg st;
+            src1 = gen_vreg st;
+            src2 = gen_vreg st;
+          }
+    | 7 -> Vinsn.Vperm { pattern = perm_gen st; dst = gen_vreg st; src = gen_vreg st }
+    | _ -> Vinsn.Vred { op = gen_opcode st; acc = gen_reg st; src = gen_vreg st }
+  in
+  let gov st = if bool st then Governed.Pred Governed.p0 else Governed.Vl in
+  let regs = Array.init 16 (fun _ -> oneof [ small; small; gen_imm ] st) in
+  let op =
+    match int_range 0 9 st with
+    | 0 | 1 | 2 | 3 -> V (vinsn st)
+    | 4 | 5 | 6 -> G (Governed.Op { gov = gov st; v = vinsn st })
+    | 7 -> (
+        let gov = gov st and pattern = perm_gen st and base = gen_base st in
+        let counter = gen_reg st and esize = gen_esize st in
+        (* a lookup's element counter counts up from 0
+           ([Perm.src_index] is defined on non-negative elements) *)
+        regs.(Reg.index counter) <- int_range 0 40 st;
+        match int_range 0 2 st with
+        | 0 ->
+            G (Governed.Tbl { gov; esize; signed = bool st; dst = gen_vreg st; base; counter; pattern })
+        | 1 -> G (Governed.Tblst { gov; esize; src = gen_vreg st; base; counter; pattern })
+        | _ -> G (Governed.Tblidx { gov; pattern }))
+    | 8 ->
+        G (Governed.Set_active { into = gov st; counter = gen_reg st; bound = int_range (-5) 40 st })
+    | _ ->
+        G
+          (Governed.Advance
+             { dst = gen_reg st; by = (if bool st then Governed.Lanes else Governed.Granted) })
+  in
+  (* a count is full at [lanes] or more, partial below *)
+  let count st = oneof [ int_range 0 lanes; int_range lanes 20 ] st in
+  {
+    sc_lanes = lanes;
+    sc_op = op;
+    sc_regs = regs;
+    sc_vregs =
+      Array.init Vreg.count (fun _ -> Array.init (Width.lanes Width.max) (fun _ -> lane_value st));
+    sc_preds = Array.init Governed.slot_count (fun _ -> count st);
+    sc_flags = (small st, small st);
+    sc_mem =
+      List.init 48 (fun _ ->
+          let addr =
+            if bool st then 0x100000 + (4 * int_range 0 1800 st) else 4 * int_range 0 64 st
+          in
+          (addr, word st));
+  }
+
+let print_sem_case c =
+  Format.asprintf "lanes %d, %a, preds %s" c.sc_lanes
+    (fun ppf -> function
+      | V v -> Vinsn.pp_exec ppf v
+      | G g -> Governed.pp ppf g)
+    c.sc_op
+    (String.concat " " (Array.to_list (Array.map string_of_int c.sc_preds)))
+
+let sem_ctx c =
+  let mem = Memory.create () in
+  List.iter (fun (addr, v) -> Memory.write mem ~addr ~bytes:4 v) c.sc_mem;
+  let ctx = Sem.create_ctx mem in
+  Array.blit c.sc_regs 0 ctx.Sem.regs 0 16;
+  Array.iteri (fun i l -> Array.blit l 0 ctx.Sem.vregs.(i) 0 (Array.length l)) c.sc_vregs;
+  Array.blit c.sc_preds 0 ctx.Sem.preds 0 (Array.length c.sc_preds);
+  ctx.Sem.flags <- Flags.of_compare (fst c.sc_flags) (snd c.sc_flags);
+  ctx.Sem.lanes <- c.sc_lanes;
+  ctx
+
+(* Everything the two forms must agree on, as one comparable value. *)
+let sem_observe (ctx : Sem.ctx) sigill =
+  let n = ctx.Sem.e_nacc in
+  ( ( Array.copy ctx.Sem.regs,
+      Array.map Array.copy ctx.Sem.vregs,
+      Array.copy ctx.Sem.preds,
+      (ctx.Sem.flags :> int) ),
+    ( Array.sub ctx.Sem.acc_addr 0 n,
+      Array.sub ctx.Sem.acc_bytes 0 n,
+      Array.sub ctx.Sem.acc_write 0 n ),
+    (ctx.Sem.n_pred_fast, ctx.Sem.n_pred_masked, ctx.Sem.n_tbl_builds),
+    sigill )
+
+let sem_props =
+  [
+    qtest ~count:1000 "sem: compiled ops match the interpreter"
+      (QCheck.make ~print:print_sem_case sem_case_gen)
+      (fun c ->
+        let run f =
+          match f () with () -> None | exception Sem.Sigill m -> Some m
+        in
+        let twice ctx f =
+          let first = run f in
+          let second = run f in
+          (sem_observe ctx (first, second), ctx.Sem.mem)
+        in
+        let interp = sem_ctx c and compiled = sem_ctx c in
+        let interp_f, compiled_f =
+          match c.sc_op with
+          | V v ->
+              ( (fun () -> Sem.exec_vector interp v),
+                Sem.compile_vector compiled ~lanes:c.sc_lanes v )
+          | G g ->
+              ( (fun () -> Sem.exec_governed interp g),
+                Sem.compile_governed compiled ~lanes:c.sc_lanes g )
+        in
+        let a, mem_a = twice interp interp_f in
+        let b, mem_b = twice compiled compiled_f in
+        a = b && Memory.equal mem_a mem_b);
+  ]
+
+let tests = tests @ sem_props

@@ -221,7 +221,12 @@ let test_fuel_bailout () =
       let image = Image.of_program (counting_program ~trips:5000) in
       let result blocks =
         Cpu.run_result
-          ~config:{ Cpu.scalar_config with Cpu.fuel; Cpu.blocks }
+          ~config:
+            {
+              Cpu.scalar_config with
+              Cpu.fault = Some (Fault.Exhaust_fuel { budget = fuel });
+              Cpu.blocks;
+            }
           image
       in
       match (result true, result false) with
