@@ -8,28 +8,40 @@ let addr_mask = 0xFFFFFFFF
    the working set of a loop iteration is a handful of arrays), so the
    cache turns the common case into a single comparison instead of a
    [Hashtbl] probe per byte. [no_page] is a zero-length sentinel standing
-   for "page not allocated"; it can never be returned for a real page. *)
+   for "page not allocated"; it can never be returned for a real page.
+
+   The page table is keyed on plain ints, so it hashes and compares them
+   monomorphically: every page-cache miss would otherwise pay for the
+   polymorphic [caml_hash] and [compare_val]. The identity hash puts
+   consecutive page indices in distinct buckets. *)
+
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Pages.t;
   mutable last_idx : int;  (** page index held in [last_page]; -1 = none *)
   mutable last_page : Bytes.t;
 }
 
 let no_page = Bytes.create 0
 
-let create () = { pages = Hashtbl.create 64; last_idx = -1; last_page = no_page }
+let create () = { pages = Pages.create 64; last_idx = -1; last_page = no_page }
 
 let copy m =
-  let pages = Hashtbl.create (Hashtbl.length m.pages) in
-  Hashtbl.iter (fun k v -> Hashtbl.replace pages k (Bytes.copy v)) m.pages;
+  let pages = Pages.create (Pages.length m.pages) in
+  Pages.iter (fun k v -> Pages.replace pages k (Bytes.copy v)) m.pages;
   { pages; last_idx = -1; last_page = no_page }
 
 (* Resolve a page for reading: [no_page] when untouched (reads as zero). *)
 let[@inline] find_page m idx =
   if m.last_idx = idx then m.last_page
   else
-    match Hashtbl.find_opt m.pages idx with
+    match Pages.find_opt m.pages idx with
     | Some p ->
         m.last_idx <- idx;
         m.last_page <- p;
@@ -41,11 +53,11 @@ let page_of m idx =
   if m.last_idx = idx then m.last_page
   else begin
     let p =
-      match Hashtbl.find_opt m.pages idx with
+      match Pages.find_opt m.pages idx with
       | Some p -> p
       | None ->
           let p = Bytes.make page_size '\000' in
-          Hashtbl.replace m.pages idx p;
+          Pages.replace m.pages idx p;
           p
     in
     m.last_idx <- idx;
@@ -166,17 +178,17 @@ let write_block m ~addr ~len src =
 
 let blit_bytes m ~addr src = write_block m ~addr ~len:(Bytes.length src) src
 
-let touched_pages m = Hashtbl.length m.pages
+let touched_pages m = Pages.length m.pages
 
 let zero_page = Bytes.make page_size '\000'
 
 let equal a b =
   let check pages_a pages_b =
-    Hashtbl.fold
+    Pages.fold
       (fun idx pa acc ->
         acc
         &&
-        match Hashtbl.find_opt pages_b idx with
+        match Pages.find_opt pages_b idx with
         | Some pb -> Bytes.equal pa pb
         | None -> Bytes.equal pa zero_page)
       pages_a true
@@ -185,10 +197,10 @@ let equal a b =
 
 let diff a b =
   let out = ref [] and count = ref 0 in
-  let page_indices = Hashtbl.create 16 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace page_indices k ()) a.pages;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace page_indices k ()) b.pages;
-  Hashtbl.iter
+  let page_indices = Pages.create 16 in
+  Pages.iter (fun k _ -> Pages.replace page_indices k ()) a.pages;
+  Pages.iter (fun k _ -> Pages.replace page_indices k ()) b.pages;
+  Pages.iter
     (fun idx () ->
       if !count < 32 then
         for off = 0 to page_size - 1 do

@@ -30,7 +30,7 @@ let translate_region_result ?(max_uops = Translator.default_max_uops)
       Some (Diag.make ~fault ~pc:!pc ~cycle:0 ~retired:!steps)
   in
   let running = ref true in
-  while !running && !failure = None do
+  while !running && Option.is_none !failure do
     incr steps;
     if !steps > step_budget then fail Diag.Region_nonterminating
     else if !pc < 0 || !pc >= Array.length image.Image.code then

@@ -748,8 +748,9 @@ let compile_governed ctx ~lanes (g : Governed.t) =
       let ci = Reg.index counter in
       let d = ctx.vregs.(Vreg.index dst) in
       let getb = compile_base ctx base in
-      (* [period] is a power of two ([Perm.well_formed]), so the modulo
-         in [Perm.src_index] becomes a mask over the baked offsets. *)
+      (* [period] is a power of two ([Perm.well_formed]) and
+         [Perm.src_index] floors with the same mask, so the baked offsets
+         agree with it for every counter, negative ones too. *)
       let offs = Perm.offsets pattern in
       let mask = Perm.period pattern - 1 in
       fun () ->

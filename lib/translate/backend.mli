@@ -120,7 +120,9 @@ module type S = sig
     Ucode.uop
   (** Table-lookup gather replacing a recovered load-side permutation:
       lane [j] loads element [Perm.src_index pattern (counter + j)] of
-      the array at [base]. Only consulted under {!Perm_table}. *)
+      the array at [base] ([Perm.src_index] is floored, so any counter,
+      negative included, means the same on every tier). Only consulted
+      under {!Perm_table}. *)
 
   val perm_scatter :
     esize:Esize.t ->

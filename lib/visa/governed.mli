@@ -91,11 +91,13 @@ type t =
       (** Table-lookup gather: for each active lane [j], load element
           [Perm.src_index pattern (counter + j)] of the array at [base]
           into [dst.(j)], zeroing inactive lanes (SVE [tbl], RVV
-          [vluxei]). Because the lookup indexes the {e memory} element
-          stream rather than the lanes of one register, it reproduces
-          the scalar loop's permuted access order exactly — at any
-          hardware width, including widths smaller than the pattern's
-          period and shortened final iterations. *)
+          [vluxei]). [Perm.src_index] floors block and position, so a
+          counter below 0 reads the same elements under stepping and on
+          the compiled engine. Because the lookup indexes the {e memory}
+          element stream rather than the lanes of one register, it
+          reproduces the scalar loop's permuted access order exactly —
+          at any hardware width, including widths smaller than the
+          pattern's period and shortened final iterations. *)
   | Tblst of {
       gov : gov;
       esize : Esize.t;
@@ -106,10 +108,10 @@ type t =
     }
       (** Table-lookup scatter — the store-side dual of {!Tbl} (RVV
           [vsuxei]): for each active lane [j], store [src.(j)] to element
-          [Perm.src_index pattern (counter + j)] of the array at [base].
-          [pattern] is the {e store-side} pattern as observed in the
-          scalar offset stream, so the written addresses match the
-          scalar loop's verbatim. *)
+          [Perm.src_index pattern (counter + j)] of the array at [base]
+          (floored, as for {!Tbl}). [pattern] is the {e store-side}
+          pattern as observed in the scalar offset stream, so the
+          written addresses match the scalar loop's verbatim. *)
 
 val is_vector : t -> bool
 (** [true] for {!Op} and the table-lookup family ({!Tblidx}, {!Tbl},

@@ -9,10 +9,13 @@ let well_formed t =
   is_pow2 b && b >= 2 && b <= 16
   && match t with Rotate { by; _ } -> by > 0 && by < b | Reverse _ | Halfswap _ -> true
 
+(* Floored block and position: the period is a power of two, so
+   [i land (b - 1)] is in [0, b) for negative [i] too, and the compiled
+   lookup's [offsets.(i land (b - 1))] agrees for every counter. *)
 let src_index t i =
   let b = period t in
-  let blk = i / b * b and pos = i mod b in
-  blk
+  let pos = i land (b - 1) in
+  i - pos
   +
   match t with
   | Reverse _ -> b - 1 - pos

@@ -34,9 +34,12 @@ val well_formed : t -> bool
 val src_index : t -> int -> int
 (** [src_index t i] is the element the pattern reads to produce element
     [i]: the permutation acts blockwise, so
-    [src_index t i = (i / b * b) + perm (i mod b)] for period [b]. Total
-    over all [i >= 0] — this is what the VLA table-lookup ops evaluate
-    per active lane to reproduce the scalar access stream. *)
+    [src_index t i = (i - pos) + perm pos] with [pos = i land (b - 1)]
+    for period [b], a power of two (every {!well_formed} pattern). Block
+    and position are floored, so it is total over all [i], negative
+    ones included — this is what the VLA table-lookup ops evaluate per
+    active lane to reproduce the scalar access stream, in both the
+    interpreted and the compiled form. *)
 
 val offsets : t -> int array
 (** Length {!period}; entry [i] is [src_index(i) - i]. *)

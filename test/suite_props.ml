@@ -788,9 +788,9 @@ let sem_case_gen : sem_case QCheck.Gen.t =
     | 7 -> (
         let gov = gov st and pattern = perm_gen st and base = gen_base st in
         let counter = gen_reg st and esize = gen_esize st in
-        (* a lookup's element counter counts up from 0
-           ([Perm.src_index] is defined on non-negative elements) *)
-        regs.(Reg.index counter) <- int_range 0 40 st;
+        (* the element counter may start below 0: [Perm.src_index] and
+           the compiled offset mask both floor block and position *)
+        regs.(Reg.index counter) <- int_range (-40) 40 st;
         match int_range 0 2 st with
         | 0 ->
             G (Governed.Tbl { gov; esize; signed = bool st; dst = gen_vreg st; base; counter; pattern })

@@ -66,6 +66,21 @@ let test_perm_offsets_consistent () =
         [ 2; 4; 8; 16 ])
     Perm.catalog
 
+let test_perm_src_index_floored () =
+  (* Block and position are floored, so a negative element reads the
+     same offset as the compiled lookup's [offsets.(i land (b - 1))],
+     and shifting [i] by a whole period shifts the result by it. *)
+  check "reverse 4 at -1" (-4) (Perm.src_index (Perm.Reverse 4) (-1));
+  check "pairswap at -1" (-2) (Perm.src_index Perm.pairswap (-1));
+  List.iter
+    (fun p ->
+      let b = Perm.period p and offs = Perm.offsets p in
+      for i = -40 to 40 do
+        check "mask form" (i + offs.(i land (b - 1))) (Perm.src_index p i);
+        check "period shift" (Perm.src_index p i - b) (Perm.src_index p (i - b))
+      done)
+    Perm.catalog
+
 let test_perm_inverse () =
   List.iter
     (fun p ->
@@ -162,6 +177,7 @@ let tests =
     Alcotest.test_case "perm: halfswap" `Quick test_perm_apply_halfswap;
     Alcotest.test_case "perm: rotate" `Quick test_perm_apply_rotate;
     Alcotest.test_case "perm: offsets consistent" `Quick test_perm_offsets_consistent;
+    Alcotest.test_case "perm: floored src_index" `Quick test_perm_src_index_floored;
     Alcotest.test_case "perm: inverse" `Quick test_perm_inverse;
     Alcotest.test_case "perm: CAM roundtrip" `Quick test_perm_cam_roundtrip;
     Alcotest.test_case "perm: CAM miss" `Quick test_perm_cam_miss;
