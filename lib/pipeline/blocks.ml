@@ -1329,69 +1329,82 @@ type observed = {
 let cap_none = -1
 let cap_effect = -2
 
-let observe_loop eng (pattern : Event.t array) =
+(* The pattern's pcs and instructions are the image's scalar run from
+   its first pc: what lets a verified iteration run without per-event
+   checks, here and in [Offline]. *)
+let is_image_run (image : Image.t) (pattern : Event.t array) =
   let n = Array.length pattern in
-  if n = 0 then None
+  n > 0
+  &&
+  let top = pattern.(0).Event.pc in
+  let code = image.Image.code in
+  let same k (ev : Event.t) =
+    ev.Event.pc = top + k
+    && top + k < Array.length code
+    &&
+    match code.(top + k) with
+    | Minsn.S insn -> insn == ev.Event.insn || Insn.equal_exec insn ev.Event.insn
+    | Minsn.V _ -> false
+  in
+  let rec all k = k >= n || (same k pattern.(k) && all (k + 1)) in
+  all 0
+
+let observe_loop eng (pattern : Event.t array) =
+  if not (is_image_run eng.image pattern) then None
   else
+    let n = Array.length pattern in
     let top = pattern.(0).Event.pc in
-    let code = eng.image.Image.code in
-    let same k (ev : Event.t) =
-      ev.Event.pc = top + k
-      && top + k < Array.length code
-      &&
-      match code.(top + k) with
-      | Minsn.S insn -> insn == ev.Event.insn || Insn.equal_exec insn ev.Event.insn
-      | Minsn.V _ -> false
-    in
-    let rec all k = k >= n || (same k pattern.(k) && all (k + 1)) in
-    if not (all 0) then None
-    else
-      match slot_at eng top with
-      | S_block ({ b_term = T_branch { target; _ }; _ } as b)
-        when target = top && b.b_n = n ->
-          let cap =
-            Array.map
-              (function
-                | Smov_i { dst; _ } | Smov_r { dst; _ } | Sdp_i { dst; _ }
-                | Sdp_r { dst; _ } | Sld { dst; _ } ->
-                    dst
-                | Spred _ -> cap_effect
-                | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Sgov _ -> cap_none)
-              b.b_uops
-          in
-          Some
-            { o_block = b; o_cap = cap; o_values = Array.make n Sem.no_value }
-      | S_block _ | S_noblock | S_unknown -> None
+    match slot_at eng top with
+    | S_block ({ b_term = T_branch { target; _ }; _ } as b)
+      when target = top && b.b_n = n ->
+        let cap =
+          Array.map
+            (function
+              | Smov_i { dst; _ } | Smov_r { dst; _ } | Sdp_i { dst; _ }
+              | Sdp_r { dst; _ } | Sld { dst; _ } ->
+                  dst
+              | Spred _ -> cap_effect
+              | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Sgov _ -> cap_none)
+            b.b_uops
+        in
+        Some
+          { o_block = b; o_cap = cap; o_values = Array.make n Sem.no_value }
+    | S_block _ | S_noblock | S_unknown -> None
 
 let observed_values ob = ob.o_values
 
-let exec_observed eng ob ~retired ~pending =
+(* [exec_block] plus the value capture of every retired instruction. *)
+let capture_block eng ob =
+  let b = ob.o_block in
+  entry_stall eng eng.out_pending b;
+  let ctx = eng.ctx in
+  let regs = ctx.Sem.regs in
+  let thunks = b.b_thunks and cap = ob.o_cap and values = ob.o_values in
+  let nu = Array.length thunks in
+  let i = ref 0 in
+  (try
+     while !i < nu do
+       (Array.unsafe_get thunks !i) ();
+       let d = Array.unsafe_get cap !i in
+       Array.unsafe_set values !i
+         (if d >= 0 then Array.unsafe_get regs d
+          else if d = cap_effect then ctx.Sem.e_value
+          else Sem.no_value);
+       incr i
+     done
+   with e ->
+     repair_block eng b !i;
+     raise e);
+  retire_block eng b
+
+let exec_observed eng ob ~capture ~retired ~pending =
   let b = ob.o_block in
   if retired + b.b_n > eng.fuel then false
   else begin
     eng.out_retired <- retired;
     eng.out_pending <- pending;
     eng.out_pc <- b.b_pc;
-    entry_stall eng pending b;
-    let ctx = eng.ctx in
-    let regs = ctx.Sem.regs in
-    let thunks = b.b_thunks and cap = ob.o_cap and values = ob.o_values in
-    let nu = Array.length thunks in
-    let i = ref 0 in
-    (try
-       while !i < nu do
-         (Array.unsafe_get thunks !i) ();
-         let d = Array.unsafe_get cap !i in
-         Array.unsafe_set values !i
-           (if d >= 0 then Array.unsafe_get regs d
-            else if d = cap_effect then ctx.Sem.e_value
-            else Sem.no_value);
-         incr i
-       done
-     with e ->
-       repair_block eng b !i;
-       raise e);
-    retire_block eng b;
+    if capture then capture_block eng ob else exec_block eng b;
     true
   end
 

@@ -29,7 +29,9 @@
     A live translator session in its Verify phase also runs here: each
     later loop iteration executes the loop-top block's closures plus a
     per-slot value capture ({!exec_observed}), and the captured values
-    go to {!Liquid_translate.Translator.feed_iteration} in one batch.
+    go to {!Liquid_translate.Translator.feed_iteration} in one batch. A
+    session that demands no load's values skips the capture: its
+    iterations run as the plain block and are only counted.
 
     The engine is an execution strategy, not a semantics change: every
     architectural value and every counter is bit-identical to the
@@ -123,26 +125,36 @@ val out_pending : t -> Reg.t option
 type observed
 (** A verifying session's loop body, compiled. *)
 
+val is_image_run : Image.t -> Event.t array -> bool
+(** The pattern is non-empty and its pcs and instructions are exactly
+    the image's scalar run [top .. top + n - 1] from its first pc [top]
+    (no vector instruction, no pc past the image). {!observe_loop}'s
+    first test, and [Offline]'s for batching a verified iteration. *)
+
 val observe_loop : t -> Event.t array -> observed option
 (** Compile the body a session's {!Translator.iteration_pattern}
-    describes. [None] unless the pattern's pcs and instructions are
-    exactly the image's straight-line run from the loop top through a
-    conditional back-edge to that top (the caller then steps). *)
+    describes. [None] unless {!is_image_run} holds and that run is one
+    block from the loop top through a conditional back-edge to that top
+    (the caller then steps). *)
 
 val exec_observed :
-  t -> observed -> retired:int -> pending:Reg.t option -> bool
+  t -> observed -> capture:bool -> retired:int -> pending:Reg.t option ->
+  bool
 (** Run one whole iteration of the body, with the dispatcher's
-    [retired] and [pending] as in {!try_exec}, and capture the value of
-    every retired instruction into {!observed_values}. Neither heats,
-    forms nor enters a trace superblock. [false] (nothing executed) when
-    the fuel budget could expire inside the iteration. On [true] read
-    back the out-fields as after {!try_exec}. *)
+    [retired] and [pending] as in {!try_exec}. With [capture], also
+    capture the value of every retired instruction into
+    {!observed_values}; without it the iteration runs as the plain block
+    and {!observed_values} keeps its old contents, for a session whose
+    {!Translator.needs_values} is [false]. Neither heats, forms nor
+    enters a trace superblock. [false] (nothing executed) when the fuel
+    budget could expire inside the iteration. On [true] read back the
+    out-fields as after {!try_exec}. *)
 
 val observed_values : observed -> int array
 (** The last iteration's per-instruction values, in pattern order,
     {!Event.no_value} where an instruction produced none — the argument
     {!Translator.feed_iteration} takes. Overwritten by every
-    {!exec_observed}. *)
+    {!exec_observed} with [capture]. *)
 
 type uresult =
   | U_done  (** the replay retired its [URet] *)

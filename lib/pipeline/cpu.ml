@@ -864,10 +864,11 @@ let dispatch_blocks st eng ~traces =
 
 (* A live session at its loop top in the Verify phase: run the next
    iteration as the loop body's block closures and hand the captured
-   values to the translator in one batch. [false] when the session is
-   elsewhere, the iteration holds the armed feed site, its body is not a
-   straight-line run ending in the back-edge, or fuel could expire
-   inside the iteration. *)
+   values to the translator in one batch (without the capture when the
+   session reads no values, which then only counts the iteration).
+   [false] when the session is elsewhere, the iteration holds the armed
+   feed site, its body is not a straight-line run ending in the
+   back-edge, or fuel could expire inside the iteration. *)
 let dispatch_session st eng s =
   let top = Translator.iteration_top s.tr in
   top >= 0 && top = st.pc
@@ -890,8 +891,9 @@ let dispatch_session st eng s =
   | None -> false
   | Some b -> (
       match
-        Blocks.exec_observed eng b ~retired:st.retired
-          ~pending:st.last_load_dst
+        Blocks.exec_observed eng b
+          ~capture:(Translator.needs_values s.tr)
+          ~retired:st.retired ~pending:st.last_load_dst
       with
       | true ->
           st.pc <- Blocks.out_pc eng;
@@ -933,10 +935,11 @@ let dispatch_failed_session st eng =
    at dispatch granularity is exact. A live session observes every
    retired instruction: it steps through its Build iteration, the region
    return and whatever else the engine declines, while its verified
-   iterations run through the loop body's closures with a value capture
-   ([dispatch_session]). A session whose translator has failed ignores
-   what it is fed, so the plain block engine (no trace superblocks,
-   which stepping would not have heated) runs until the region returns.
+   iterations run through the loop body's closures, with a value capture
+   when the translator reads values ([dispatch_session]). A session
+   whose translator has failed ignores what it is fed, so the plain
+   block engine (no trace superblocks, which stepping would not have
+   heated) runs until the region returns.
    Interrupts force stepping for as long as a session is live. *)
 let exec_loop st =
   match st.eng with

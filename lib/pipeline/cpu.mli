@@ -112,7 +112,8 @@ type config = {
           observer is configured (it needs per-step fidelity). A live
           translator session does not force stepping: once it verifies, each later loop iteration
           runs as the loop body's block closures with a per-instruction
-          value capture fed to the translator in one batch, and a
+          value capture fed to the translator in one batch (no capture
+          when the translator reads no values), and a
           session whose translator has failed runs the plain block
           engine until the region returns. The session still steps its
           first (Build) iteration, the region return, any body that is

@@ -22,6 +22,7 @@ let translate_region_result ?(max_uops = Translator.default_max_uops)
       ctx.Sem.flags <- live.Sem.flags
   | None -> ());
   let tr = Translator.create { Translator.lanes; max_uops; backend } in
+  let code = image.Image.code in
   let pc = ref entry in
   let steps = ref 0 in
   let failure = ref None in
@@ -30,25 +31,66 @@ let translate_region_result ?(max_uops = Translator.default_max_uops)
       Some (Diag.make ~fault ~pc:!pc ~cycle:0 ~retired:!steps)
   in
   let running = ref true in
+  let advance = function
+    | Sem.Next -> incr pc
+    | Sem.Jump t -> pc := t
+    | Sem.Return | Sem.Stop | Sem.Call _ -> running := false
+  in
+  (* The verified-iteration value buffer, sized once the session reaches
+     Verify: [[||]] until then and when its pattern is not the image's
+     straight-line run (every iteration then steps per event). *)
+  let body = ref None in
+  let batch () =
+    match !body with
+    | Some values -> values
+    | None ->
+        let pattern = Translator.iteration_pattern tr in
+        let values =
+          if Blocks.is_image_run image pattern then
+            Array.make (Array.length pattern) Sem.no_value
+          else [||]
+        in
+        body := Some values;
+        values
+  in
   while !running && Option.is_none !failure do
-    incr steps;
-    if !steps > step_budget then fail Diag.Region_nonterminating
-    else if !pc < 0 || !pc >= Array.length image.Image.code then
-      fail Diag.Wild_pc
-    else
-      match image.Image.code.(!pc) with
-      | Minsn.V _ -> fail Diag.Region_vector_insn
-      | Minsn.S insn -> (
-          let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
-          let value = ctx.Sem.e_value in
-          Translator.feed tr
-            (if value = Sem.no_value then Event.make ~pc:!pc insn
-             else Event.make ~pc:!pc ~value insn);
-          match outcome with
-          | Sem.Next -> incr pc
-          | Sem.Jump t -> pc := t
-          | Sem.Return | Sem.Stop -> running := false
-          | Sem.Call _ -> running := false)
+    let values =
+      if Translator.iteration_top tr = !pc then batch () else [||]
+    in
+    let n = Array.length values in
+    if n > 0 && !steps + n <= step_budget then begin
+      (* A verified iteration at the loop top: the pattern's pcs are in
+         the image and scalar, and the budget admits every step, so
+         none of the per-step diagnostics can fire; only values the
+         session reads are captured. *)
+      let capture = Translator.needs_values tr in
+      for k = 0 to n - 1 do
+        incr steps;
+        match code.(!pc) with
+        | Minsn.S insn ->
+            let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
+            if capture then values.(k) <- ctx.Sem.e_value;
+            advance outcome
+        | Minsn.V _ -> assert false
+      done;
+      Translator.feed_iteration tr values
+    end
+    else begin
+      incr steps;
+      if !steps > step_budget then fail Diag.Region_nonterminating
+      else if !pc < 0 || !pc >= Array.length code then fail Diag.Wild_pc
+      else
+        match code.(!pc) with
+        | Minsn.V _ -> fail Diag.Region_vector_insn
+        | Minsn.S insn ->
+            let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
+            (if not (Translator.failed tr) then
+               let value = ctx.Sem.e_value in
+               Translator.feed tr
+                 (if value = Sem.no_value then Event.make ~pc:!pc insn
+                  else Event.make ~pc:!pc ~value insn));
+            advance outcome
+    end
   done;
   match !failure with
   | Some d -> Error d

@@ -15,22 +15,39 @@
     operand resolution can mis-fold a live register into a constant
     splat. Pass [?state] (the live interpreter context at the call
     site) to observe a copy of the real machine state instead — the
-    copy keeps the observation side-effect free. *)
+    copy keeps the observation side-effect free.
+
+    The session's Build iteration, its prologue and anything irregular
+    are stepped and fed one {!Event.t} at a time. Once the session
+    verifies its loop, each later iteration that starts at the loop top
+    is stepped as a batch when its pattern is the image's straight-line
+    run ({!Blocks.is_image_run}) and the step budget admits all of it:
+    no event is built, values are captured only when
+    {!Translator.needs_values} says the session reads them, and the
+    iteration goes to {!Translator.feed_iteration}. Every diagnostic
+    fires at the same step either way: a batch cannot leave the image,
+    meet a vector instruction or cross the budget. *)
 
 open Liquid_prog
 open Liquid_translate
+
+val step_budget : int
+(** Instructions a region observation may retire before it is declared
+    nonterminating. *)
 
 val translate_region_result :
   ?max_uops:int -> ?backend:Backend.t -> ?state:Sem.ctx ->
   ?tally:Translator.perm_tally ref -> image:Image.t ->
   lanes:int -> entry:int -> unit -> (Translator.result, Diag.t) result
-(** [Error diag] when the region never returns within a generous
-    instruction budget, escapes the image, or contains vector
-    instructions. A translation {e abort} is not an error: it comes back
-    as [Ok (Aborted _)]. [max_uops] defaults to
-    {!Translator.default_max_uops}, [backend] to {!Backend.fixed}.
-    When [tally] is given, the session's {!Translator.perm_tally} is
-    written into it on the [Ok] paths (left untouched on [Error]). *)
+(** [Error diag] when the region never returns within {!step_budget}
+    retired instructions ([Region_nonterminating], retired
+    [step_budget + 1]), escapes the image ([Wild_pc]), or reaches a
+    vector instruction ([Region_vector_insn]). A translation {e abort}
+    is not an error: it comes back as [Ok (Aborted _)]. [max_uops]
+    defaults to {!Translator.default_max_uops}, [backend] to
+    {!Backend.fixed}. When [tally] is given, the session's
+    {!Translator.perm_tally} is written into it on the [Ok] paths (left
+    untouched on [Error]). *)
 
 val translate_region :
   ?max_uops:int -> ?backend:Backend.t -> ?state:Sem.ctx -> image:Image.t ->

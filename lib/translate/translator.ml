@@ -72,14 +72,12 @@ type fold_src = {
 }
 
 (* Verify-phase recorder of one pattern slot: where the slot's load
-   pushes its observed value and effective address. [Unresolved] until
-   the slot's load is first observed; then the pc's value stream and
-   [fold_src] are looked up once ([Unrecorded] when the first iteration
-   recorded no stream for it, and for every slot that is not a load).
-   Sound because neither [values] nor [fold_srcs] gains or replaces an
-   entry for a recorded pc during Verify. *)
+   pushes its observed value and effective address. Fixed when Verify
+   begins: [Recorded] only for a load [finish] can consult (see
+   [demanded_pcs]) whose stream the first iteration started,
+   [Unrecorded] for every other slot. Sound because neither [values] nor
+   [fold_srcs] gains or replaces an entry during Verify. *)
 type recorder =
-  | Unresolved
   | Unrecorded
   | Recorded of {
       stream : int Vec.t;
@@ -95,6 +93,10 @@ type verify_state = {
   dsts : int array;
       (* parallel to [pattern]: the register each slot writes (the
          shadow it updates), -1 for none *)
+  needs_values : bool;
+      (* some slot is [Recorded]; otherwise a verified iteration is only
+         a count, and the register shadow (read only by recorded loads'
+         address reconstruction) is left as Build left it *)
   mutable next : int;
 }
 
@@ -716,6 +718,34 @@ let scan_body_legality t ~top_pc ~branch_pc =
         | Cs _ -> fail t (Abort.Illegal_insn "scalar instruction in loop body"))
     t.slots
 
+(* The loads whose value and address streams [finish] can consult: the
+   lineage of every constant-vector candidate (rule 7) and of every
+   permutation placeholder. Both are fixed once Build ends, since Verify
+   emits and invalidates nothing; a candidate [finish] later skips only
+   makes the set larger than needed. *)
+let demanded_pcs t =
+  Vec.fold_left
+    (fun acc s ->
+      let acc =
+        match s.const_candidate with Some (lpc, _) -> lpc :: acc | None -> acc
+      in
+      match s.content with
+      | Cperm { lineage; _ } -> lineage :: acc
+      | Cs _ | Cv _ | Cuop _ | Cinc _ | Cb _ -> acc)
+    [] t.slots
+
+(* The Verify recorder of one pattern event. *)
+let recorder t demanded (e : Event.t) =
+  match e.insn with
+  | Insn.Ld { esize; signed; base; index; shift; _ }
+    when List.exists (Int.equal e.pc) demanded -> (
+      match Hashtbl.find_opt t.values e.pc with
+      | Some stream ->
+          Recorded
+            { stream; src = fold_src t e.pc ~esize ~signed; base; index; shift }
+      | None -> Unrecorded)
+  | _ -> Unrecorded
+
 let build_branch t (ev : Event.t) ~cond ~target =
   (* Locate the branch target among this region's already-retired
      instructions: a hit means a loop back-edge. *)
@@ -744,17 +774,18 @@ let build_branch t (ev : Event.t) ~cond ~target =
           find 0
         in
         let pattern = Array.sub events start (Array.length events - start) in
+        let recs = Array.map (recorder t (demanded_pcs t)) pattern in
         t.iterations <- 1;
         t.phase <-
           Verify
             {
               pattern;
-              recs =
-                Array.map
-                  (fun (e : Event.t) ->
-                    match e.insn with Insn.Ld _ -> Unresolved | _ -> Unrecorded)
-                  pattern;
+              recs;
               dsts = Array.map (fun (e : Event.t) -> shadow_dst e.insn) pattern;
+              needs_values =
+                Array.exists
+                  (function Recorded _ -> true | Unrecorded -> false)
+                  recs;
               next = 0;
             }
       end
@@ -820,43 +851,25 @@ let build_step t (ev : Event.t) =
 
 (* --- Verify phase: later iterations must repeat the first --- *)
 
-(* The recorder of load slot [k], resolved on first use. *)
-let resolve_recorder t v k =
-  let r =
-    match v.pattern.(k).Event.insn with
-    | Insn.Ld { esize; signed; base; index; shift; _ } -> (
-        let pc = v.pattern.(k).Event.pc in
-        match Hashtbl.find_opt t.values pc with
-        | Some stream ->
-            Recorded
-              { stream; src = fold_src t pc ~esize ~signed; base; index; shift }
-        | None -> Unrecorded)
-    | _ -> Unrecorded
-  in
-  v.recs.(k) <- r;
-  r
-
 (* The work of one retired instruction that repeats its pattern slot:
-   push a load's value and effective address into the slot's recorder,
-   update the register shadow, and advance [observed], the slot cursor
-   and the iteration count. The single definition behind both the
-   per-event [feed] and the whole-iteration [feed_iteration], so the two
-   cannot drift. *)
+   when the session needs values, push a recorded load's value and
+   effective address and update the register shadow; always advance
+   [observed], the slot cursor and the iteration count. The single
+   per-slot definition behind both the per-event [feed] and
+   [feed_iteration], so the two cannot drift. *)
 let verify_slot t v value =
   let k = v.next in
   t.observed <- t.observed + 1;
-  (if value <> Event.no_value then
-     match
+  if v.needs_values then begin
+    (if value <> Event.no_value then
        match Array.unsafe_get v.recs k with
-       | Unresolved -> resolve_recorder t v k
-       | (Unrecorded | Recorded _) as r -> r
-     with
-     | Recorded { stream; src; base; index; shift } ->
-         Vec.push_int stream value;
-         push_load_addr t src ~base ~index ~shift
-     | Unresolved | Unrecorded -> ());
-  let d = Array.unsafe_get v.dsts k in
-  if d >= 0 then shadow_set t d value;
+       | Recorded { stream; src; base; index; shift } ->
+           Vec.push_int stream value;
+           push_load_addr t src ~base ~index ~shift
+       | Unrecorded -> ());
+    let d = Array.unsafe_get v.dsts k in
+    if d >= 0 then shadow_set t d value
+  end;
   if k + 1 = Array.length v.dsts then begin
     v.next <- 0;
     t.iterations <- t.iterations + 1
@@ -902,14 +915,24 @@ let iteration_top t =
 let iteration_pattern t =
   match t.phase with Verify v -> v.pattern | Build -> [||]
 
+let needs_values t =
+  match t.phase with Verify v -> v.needs_values | Build -> true
+
+(* From the top, a count-only iteration leaves the cursor at 0 and does
+   exactly what [verify_slot] would do slot by slot. *)
 let feed_iteration t values =
   match t.phase with
   | Verify v
     when iteration_top t >= 0 && Array.length values = Array.length v.pattern
     ->
-      for i = 0 to Array.length values - 1 do
-        verify_slot t v (Array.unsafe_get values i)
-      done
+      if v.needs_values then
+        for i = 0 to Array.length values - 1 do
+          verify_slot t v (Array.unsafe_get values i)
+        done
+      else begin
+        t.observed <- t.observed + Array.length values;
+        t.iterations <- t.iterations + 1
+      end
   | Verify _ | Build -> invalid_arg "Translator.feed_iteration"
 
 let abort_external t = fail t Abort.External_abort

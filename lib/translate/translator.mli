@@ -25,7 +25,9 @@
     iterations has retired, the session works in two phases: the first
     loop iteration {e builds} the microcode skeleton, subsequent
     iterations {e verify} that the static pattern repeats and accumulate
-    the per-iteration values; [finish] resolves permutations against the
+    the per-iteration values of the loads [finish] can consult (the
+    paper's "previous values", kept only where a constant vector or a
+    permutation may need them); [finish] resolves permutations against the
     CAM, folds periodic constant vectors, and fixes the induction step.
 
     Width adaptation is the {!Backend}'s policy. The fixed-width target
@@ -86,13 +88,25 @@ val iteration_pattern : t -> Event.t array
     back-edge, which every later iteration must repeat ([[||]] before
     the Verify phase). Read-only: the session owns the array. *)
 
+val needs_values : t -> bool
+(** Whether the values of the instructions fed next are read. [false]
+    once a verifying session has no demanded load: at Build's end the
+    session fixes the loads [finish] can consult (the lineages of
+    constant-vector candidates and of permutation placeholders) and
+    records value and address streams only for those, so when there are
+    none a verified iteration is only counted. [true] in the Build
+    phase. *)
+
 val feed_iteration : t -> int array -> unit
 (** Process one whole later iteration at once. [values.(i)] is the
     value the iteration's [i]-th retired instruction produced, with
     {!Event.no_value} for none; the instructions themselves are
     {!iteration_pattern}'s, which the caller vouches it retired in order.
-    Exactly equivalent to {!feed}ing the iteration's events one by one:
-    both run the same per-slot function.
+    Exactly equivalent to {!feed}ing the iteration's events one by one.
+    When {!needs_values} holds, both run the same per-slot function;
+    otherwise [values] is not read (its contents may be stale) and the
+    iteration costs O(1): the observed count grows by the pattern's
+    length and the iteration count by one.
     @raise Invalid_argument unless [iteration_top t >= 0] and [values]
     has the pattern's length. *)
 
@@ -118,6 +132,6 @@ val observed : t -> int
 val static_insns : t -> int
 (** Static instructions mapped so far (the first iteration plus the
     prologue). Translation {e work} is proportional to this: later
-    iterations only verify and stream values, keeping pace with
+    iterations only verify and stream demanded values, keeping pace with
     retirement (paper §5: translation of tens of cycles per instruction
     hides within the 300-cycle call gaps). *)

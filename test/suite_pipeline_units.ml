@@ -153,6 +153,75 @@ let test_offline_bad_entry () =
     | Translator.Aborted _ -> true
     | Translator.Translated _ -> false)
 
+(* The region [f] of a program that only calls it, from raw items: no
+   closing return is appended. *)
+let open_region ~data items =
+  let open Liquid_scalarize.Build in
+  let image =
+    Liquid_prog.Image.of_program
+      (Liquid_prog.Program.make ~name:"t"
+         ~text:
+           ((Liquid_prog.Program.Label "main" :: bl_region "f" :: [ halt ])
+           @ (Liquid_prog.Program.Label "f" :: items))
+         ~data)
+  in
+  (image, Option.get (Liquid_prog.Image.find_label image "f"))
+
+let offline_diag ~data items =
+  let image, entry = open_region ~data items in
+  match Offline.translate_region_result ~image ~lanes:4 ~entry () with
+  | Error d -> (image, entry, d)
+  | Ok _ -> Alcotest.fail "expected an offline diagnostic"
+
+let check_fault what expected (d : Diag.t) =
+  Alcotest.(check string) what (Diag.fault_name expected)
+    (Diag.fault_name d.Diag.fault)
+
+let a_data =
+  [
+    Liquid_prog.Data.make ~name:"a" ~esize:Esize.Word (Array.init 16 Fun.id);
+  ]
+
+(* A loop that verifies for 8,000,000 steps, past the budget: its later
+   iterations are batched until the next one would cross the budget,
+   which is declined and stepped, so the budget fires at exactly the
+   step after it. *)
+let test_offline_nonterminating () =
+  let open Liquid_scalarize.Build in
+  let ind = Liquid_scalarize.Vloop.induction in
+  let _, _, d =
+    offline_diag ~data:a_data
+      [
+        mov ind 0;
+        label "f_top";
+        ld (r 1) "a" (ri ind);
+        addi ind ind 1;
+        cmp ind (i 2_000_000);
+        b ~cond:Cond.Lt "f_top";
+        ret;
+      ]
+  in
+  check_fault "fault" Diag.Region_nonterminating d;
+  check "retired = budget + 1" (Offline.step_budget + 1) d.Diag.retired
+
+(* A region that runs off the end of the image. *)
+let test_offline_wild_pc () =
+  let open Liquid_scalarize.Build in
+  let image, entry, d = offline_diag ~data:a_data [ mov (r 1) 0 ] in
+  check_fault "fault" Diag.Wild_pc d;
+  check "pc past the image" (Array.length image.Liquid_prog.Image.code) d.Diag.pc;
+  check "pc = entry + 1" (entry + 1) d.Diag.pc;
+  check "retired" 2 d.Diag.retired
+
+(* A vector instruction inside the region is reported, not run. *)
+let test_offline_vector_insn () =
+  let open Liquid_scalarize.Build in
+  let vector = Liquid_prog.Program.I (Liquid_visa.Minsn.V (vld (v 1) "a")) in
+  let _, entry, d = offline_diag ~data:a_data [ mov (r 1) 0; vector; ret ] in
+  check_fault "fault" Diag.Region_vector_insn d;
+  check "pc of the vector insn" (entry + 1) d.Diag.pc;
+  check "retired" 2 d.Diag.retired
+
 let tests =
   [
     Alcotest.test_case "ucache: hit and miss" `Quick test_ucache_hit_and_miss;
@@ -165,4 +234,9 @@ let tests =
     Alcotest.test_case "event: pretty printing" `Quick test_event_pp;
     Alcotest.test_case "abort: permanence" `Quick test_abort_permanence;
     Alcotest.test_case "offline: degenerate region" `Quick test_offline_bad_entry;
+    Alcotest.test_case "offline: nonterminating region" `Quick
+      test_offline_nonterminating;
+    Alcotest.test_case "offline: wild pc" `Quick test_offline_wild_pc;
+    Alcotest.test_case "offline: vector instruction" `Quick
+      test_offline_vector_insn;
   ]
