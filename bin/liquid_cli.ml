@@ -76,6 +76,24 @@ let no_blocks_arg =
            Counters are bit-identical either way; this is an escape hatch \
            for debugging the engine and for measuring its speedup.")
 
+(* A machine fault (the watchdog, a wild pc, corrupt microcode, an
+   instruction the machine cannot execute) is an outcome of the
+   simulated run, not a crash of the simulator: the commands that run
+   or translate a program print its diagnostic on one stderr line and
+   exit with [fault_exit]. *)
+let fault_exit = 2
+
+let fault_exits =
+  Cmd.Exit.info fault_exit
+    ~doc:
+      "when the simulated machine stops on a fault; the diagnostic is \
+       printed on standard error."
+  :: Cmd.Exit.defaults
+
+let machine_fault name d =
+  Format.eprintf "liquid_cli: %s: %a@." name Diag.pp d;
+  exit fault_exit
+
 (* --- list --- *)
 
 let list_cmd =
@@ -179,7 +197,11 @@ let exec_cmd =
                 Cpu.blocks = not no_blocks;
               }
             in
-            let run = Cpu.run ~config (Image.of_program program) in
+            let run =
+              match Cpu.run ~config (Image.of_program program) with
+              | run -> run
+              | exception Diag.Error d -> machine_fault program.Program.name d
+            in
             Format.printf "%a@." Liquid_machine.Stats.pp run.Cpu.stats;
             List.iter
               (fun (r : Cpu.region_report) ->
@@ -187,7 +209,7 @@ let exec_cmd =
                   (List.length r.Cpu.calls) r.Cpu.ucode_served)
               run.Cpu.regions)
   in
-  Cmd.v (Cmd.info "exec" ~doc)
+  Cmd.v (Cmd.info "exec" ~doc ~exits:fault_exits)
     Term.(const run $ file_arg $ variant_arg $ trace_arg $ no_blocks_arg)
 
 (* --- run --- *)
@@ -214,8 +236,9 @@ let run_cmd =
     | exception Liquid_scalarize.Codegen.Unsupported_width m ->
         Format.printf "cannot generate this binary: %s@." m;
         exit 1
+    | exception Diag.Error d -> machine_fault w.Workload.name d
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~doc ~exits:fault_exits)
     Term.(const run $ workload_arg $ variant_arg $ no_blocks_arg)
 
 (* --- translate: show the microcode produced for each region --- *)
@@ -246,9 +269,7 @@ let translate_cmd =
     let program = Liquid_scalarize.Codegen.liquid w.Workload.program in
     let image = Image.of_program program in
     match Offline.translate_all ~backend ~image ~lanes () with
-    | exception Diag.Error d ->
-        Format.eprintf "liquid_cli: %s: %a@." w.Workload.name Diag.pp d;
-        exit 1
+    | exception Diag.Error d -> machine_fault w.Workload.name d
     | results ->
         List.iter
           (fun (_, label, result) ->
@@ -260,7 +281,7 @@ let translate_cmd =
                 Format.printf "aborted: %a@." Liquid_translate.Abort.pp reason)
           results
   in
-  Cmd.v (Cmd.info "translate" ~doc)
+  Cmd.v (Cmd.info "translate" ~doc ~exits:fault_exits)
     Term.(const run $ workload_arg $ width_arg $ backend_arg)
 
 (* --- report: the paper's tables/figures, or one workload's snapshot --- *)
@@ -287,7 +308,13 @@ let report_snapshot (w : Workload.t) variant jsonl_path csv_dir =
               (Liquid_obs.Collector.create ~jsonl:oc)
               (machine_config variant)
       in
-      let run = Cpu.run ~config (Image.of_program program) in
+      let run =
+        match Cpu.run ~config (Image.of_program program) with
+        | run -> run
+        | exception Diag.Error d ->
+            Option.iter close_out jsonl_oc;
+            machine_fault w.name d
+      in
       Option.iter close_out jsonl_oc;
       let snap =
         Liquid_obs.Snapshot.of_run ~label:w.name
@@ -450,7 +477,7 @@ let report_cmd =
         (Experiments.interrupt_ablation ())
     end
   in
-  Cmd.v (Cmd.info "report" ~doc)
+  Cmd.v (Cmd.info "report" ~doc ~exits:fault_exits)
     Term.(const run $ which_arg $ csv_arg $ variant_arg $ jsonl_arg)
 
 (* --- encode: binary footprint breakdown --- *)

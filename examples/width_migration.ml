@@ -37,7 +37,8 @@ let try_run name image config =
   | run ->
       Format.printf "  %-34s OK    (%7d cycles, %5d vector insns)@." name
         run.Cpu.stats.Stats.cycles run.Cpu.stats.Stats.vector_insns
-  | exception Sem.Sigill msg -> Format.printf "  %-34s FAULT (%s)@." name msg
+  | exception Liquid_pipeline.Diag.Error { fault = Illegal msg; _ } ->
+      Format.printf "  %-34s FAULT (%s)@." name msg
   | exception Liquid_pipeline.Diag.Error d ->
       Format.printf "  %-34s ERROR (%s)@." name
         (Liquid_pipeline.Diag.to_string d)

@@ -59,7 +59,11 @@ type reference = { ref_regs : int; ref_mem : int; mask : bool array }
 let check acc refc ~label ?(regs_checked = true) ?(fuel_cell = false) image
     config =
   acc.runs <- acc.runs + 1;
-  let result = Cpu.run_result ~config image in
+  let result =
+    match Cpu.run ~config image with
+    | run -> Ok run
+    | exception Diag.Error d -> Error d
+  in
   (match result with
   | Error { Diag.fault = Diag.Fuel_exhausted; _ } when fuel_cell -> ()
   | Error diag ->
@@ -151,11 +155,11 @@ let run_case ?fault_seed (p : Vloop.program) =
      let image = Image.of_program liquid in
      let mask = Oracle.mask_of_image image in
      acc.runs <- acc.runs + 1;
-     match Cpu.run_result ~config:Cpu.scalar_config image with
-     | Error diag ->
+     match Cpu.run ~config:Cpu.scalar_config image with
+     | exception Diag.Error diag ->
          acc.divs <-
            [ { d_label = "scalar-reference"; d_kind = K_crash (Diag.to_string diag) } ]
-     | Ok ref_run ->
+     | ref_run ->
          let refc =
            {
              ref_regs = Fingerprint.regs_hash_masked ~mask ref_run.Cpu.regs;

@@ -11,9 +11,9 @@
 
    Two tiers execute the compiled form:
 
-   - Every block carries its micro-ops twice: as data ([b_uops], for
-     fault repair and superblock bookkeeping) and as specialized
-     closures ([b_thunks]) — one [unit -> unit] per micro-op with
+   - Every block carries its micro-ops twice: as data ([b_uops], which
+     an observed loop body reads its value capture from) and as
+     specialized closures ([b_thunks]) — one [unit -> unit] per micro-op with
      operand indices, immediates, element sizes, opcode dispatch and the
      slot's icache line probe all baked in at compile time, so the hot
      replay loop is [thunk ()] with zero per-op matching.
@@ -28,8 +28,13 @@
      the block dispatcher; when it fails (or fuel could expire inside
      the next iteration) the superblock bails out to the ordinary block
      path. Traces follow only unconditional edges, so the guard is the
-     single conditional and a formed trace can never exit mid-iteration
-     except by fault.
+     single conditional and a formed trace never exits mid-iteration.
+
+   Compiled code cannot fault. A block ends before a vector op that
+   would raise at the engine's lane count ({!Sem.vector_total}), and a
+   microcode segment holding such an op is declined, so [step] or the
+   interpreted microcode loop raises the exact diagnostic. The replay
+   loops have no handler.
 
    This is an execution strategy, not a semantics change: every counter
    the golden suite pins must come out bit-identical to the step-by-step
@@ -67,7 +72,8 @@
 
    Blocks end at branches ([B] stays in-block as the terminator;
    [Bl]/[Ret]/[Halt] are excluded and routed to [step]), at
-   vector/scalar mode changes, and at the end of the code array.
+   vector/scalar mode changes, before a vector op that is not total,
+   and at the end of the code array.
    Unconditional fallthrough/jump edges chain directly block-to-block
    without returning to the dispatcher. [run_ucode] replay gets the
    same treatment: straight-line microcode segments between [UB]/[URet]
@@ -129,14 +135,13 @@ type block = {
          steady-state trace replay, whose fetches are known hits *)
   b_thunks : (unit -> unit) array;
       (* the same closures with slot icache probes baked in front *)
-  b_charge : int array;
-      (* static cycles per slot (uops, then the branch terminator):
-         base cycle + mul_extra + intra-block load-use stall + static
-         vector bus beats — everything [step] charges before exec *)
   b_n : int;  (* retired instructions, including a branch terminator *)
   b_scalar : int;
   b_vector : int;
-  b_cycles : int;  (* sum of [b_charge] *)
+  b_cycles : int;
+      (* static cycles of every slot (uops, then the branch terminator):
+         base cycle + mul_extra + intra-block load-use stall + static
+         vector bus beats — everything [step] charges before exec *)
   b_newline : int array;
       (* per slot: the icache line address when this slot's fetch starts
          a new line run, -1 otherwise *)
@@ -170,10 +175,6 @@ and super = {
   s_thunks : (unit -> unit) array;
       (* members' uop thunks plus branch-terminator fetch probes,
          execution order *)
-  s_tblock : int array;  (* per thunk: index into [s_blocks] *)
-  s_tslot : int array;
-      (* per thunk: slot within its block, -1 for a terminator fetch
-         probe (which cannot raise) *)
   s_jumps : int array;
       (* predictor keys of internal [T_jump] terminators, trace order *)
   s_n : int;  (* retired per iteration: sum of member [b_n] *)
@@ -190,8 +191,6 @@ and super = {
       (* the members' base closures, no icache probes: the steady-state
          body. Valid only under [s_fast_ok] (all fetches provably hit
          and are credited in bulk). *)
-  s_ftblock : int array;  (* per fast thunk: index into [s_blocks] *)
-  s_ftslot : int array;  (* per fast thunk: slot within its block *)
   s_fast_ok : bool;
       (* the trace's fetch lines fit their cache sets, so after one
          real-probe iteration every line is resident and stays resident
@@ -203,20 +202,19 @@ type slot = S_unknown | S_noblock | S_block of block
 
 (* Compiled microcode replay: straight-line segments between [UB]/[URet],
    lazily compiled per start index. [U_bail] marks segments the compiler
-   declines (control flow inside [US], truncated microcode) — the
-   interpreted loop handles those with exact diagnostics. *)
+   declines (control flow inside [US], an op that is not total,
+   truncated microcode) — the interpreted loop handles those with exact
+   diagnostics. *)
 type uterm =
   | UT_branch of { cond : Cond.t; key : int; target : int; fall : int }
   | UT_ret
 
 type useg = {
-  us_uops : suop array;
   us_thunks : (unit -> unit) array;
-  us_charge : int array;  (* per slot, terminator included *)
   us_n : int;  (* uops retired, terminator included *)
   us_scalar : int;
   us_vector : int;
-  us_cycles : int;
+  us_cycles : int;  (* static cycles, terminator included *)
   us_term : uterm;
 }
 
@@ -250,10 +248,6 @@ type t = {
   mutable out_pc : int;
   mutable out_retired : int;
   mutable out_pending : Reg.t option;
-  mutable fault_thunk : int;
-      (* trace index of the raising thunk, recorded by the wrapper
-         around the (rare) micro-ops that can fault; lets the trace
-         replay loops run without a position ref *)
   mutable blocks_built : int;
   mutable block_execs : int;
   mutable supers_built : int;
@@ -291,7 +285,6 @@ let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~vec_bus_bytes ~lanes
     out_pc = 0;
     out_retired = 0;
     out_pending = None;
-    fault_thunk = 0;
     blocks_built = 0;
     block_execs = 0;
     supers_built = 0;
@@ -310,7 +303,7 @@ let super_iters eng = eng.super_iters
 let super_bailouts eng = eng.super_bailouts
 let vla_preds eng = eng.vla_preds
 
-(* --- charge helpers (shared by thunks and repair) --- *)
+(* --- charge helpers (shared by thunks and the replay loops) --- *)
 
 (* The ARM926's fixed costs, in cycles. *)
 let mem_latency = 30
@@ -610,10 +603,10 @@ let compile_block eng pc0 =
   match code.(pc0) with
   | Minsn.S (Insn.Bl _ | Insn.Ret | Insn.Halt) -> S_noblock
   | Minsn.V _ when eng.lanes < 0 ->
-      (* no accelerator: [step] raises the exact Sigill *)
+      (* no accelerator: [step] raises the exact diagnostic *)
       S_noblock
   | Minsn.S _ | Minsn.V _ ->
-      let uops = ref [] and charges = ref [] in
+      let uops = ref [] and cycles = ref 0 in
       let nu = ref 0 in
       let first_insn = ref None in
       let prev_ld : Reg.t option ref = ref None in
@@ -656,7 +649,7 @@ let compile_block eng pc0 =
                       | Some _ | None -> 0
                     in
                     uops := u :: !uops;
-                    charges := (hazard + scalar_charge insn) :: !charges;
+                    cycles := !cycles + hazard + scalar_charge insn;
                     incr nu;
                     prev_ld :=
                       (match insn with
@@ -665,15 +658,16 @@ let compile_block eng pc0 =
                     incr pc
               end
           | Minsn.V v ->
-              if not vector then begin
+              if not (vector && Sem.vector_total ~lanes:eng.lanes v) then begin
+                (* a mode change, or an op that would fault: [step]
+                   raises the exact diagnostic there *)
                 term := T_fall !pc;
                 stop := true
               end
               else begin
                 uops := Svec v :: !uops;
-                charges :=
-                  vector_charge ~bus:eng.vec_bus_bytes ~lanes:eng.lanes v
-                  :: !charges;
+                cycles :=
+                  !cycles + vector_charge ~bus:eng.vec_bus_bytes ~lanes:eng.lanes v;
                 incr nu;
                 incr pc
               end
@@ -682,9 +676,6 @@ let compile_block eng pc0 =
       let b_n = !nu + if !term_is_insn then 1 else 0 in
       if b_n = 0 then S_noblock
       else begin
-        let charge = Array.make b_n 1 in
-        List.iteri (fun i c -> charge.(i) <- c) (List.rev !charges);
-        (* a branch terminator costs exactly the base cycle (the fill) *)
         let newline = Array.make b_n (-1) in
         let nlines = ref 0 in
         let mask = lnot (Cache.line_bytes eng.icache - 1) in
@@ -712,11 +703,12 @@ let compile_block eng pc0 =
             b_uops = uarr;
             b_bases = bases;
             b_thunks = thunks;
-            b_charge = charge;
             b_n;
             b_scalar = (if vector then 0 else b_n);
             b_vector = (if vector then b_n else 0);
-            b_cycles = Array.fold_left ( + ) 0 charge;
+            (* a branch terminator costs exactly the base cycle (the
+               fill) *)
+            b_cycles = (!cycles + if !term_is_insn then 1 else 0);
             b_newline = newline;
             b_nlines = !nlines;
             b_first = !first_insn;
@@ -753,30 +745,6 @@ let[@inline] entry_stall eng pending b =
       | Some _ | None -> ())
   | None -> ()
 
-(* A micro-op raised mid-block (only [Svec]/[Sgov] can: Sigill on
-   an unsupported permutation or mismatched constant width). Re-apply the
-   per-step accounting [step] would have accumulated through the
-   faulting slot, so the escaping diagnostics (pc, cycle, retired)
-   match the step-by-step engine exactly. *)
-let repair_block eng b k =
-  let stats = eng.stats in
-  let scalars = ref 0 and vectors = ref 0 and cyc = ref 0 and lines = ref 0 in
-  for j = 0 to k do
-    (match b.b_uops.(j) with
-    | Svec _ -> incr vectors
-    | _ -> incr scalars);
-    cyc := !cyc + b.b_charge.(j);
-    if b.b_newline.(j) >= 0 then incr lines
-  done;
-  stats.Stats.fetches <- stats.Stats.fetches + k + 1;
-  stats.Stats.scalar_insns <- stats.Stats.scalar_insns + !scalars;
-  stats.Stats.vector_insns <- stats.Stats.vector_insns + !vectors;
-  charge eng !cyc;
-  Cache.credit_hits eng.icache (k + 1 - !lines);
-  eng.out_retired <- eng.out_retired + k + 1;
-  eng.out_pending <- None;
-  eng.out_pc <- b.b_pc + k
-
 (* Everything a block owes once its micro-ops have run: the terminator's
    fetch probe, the batched stat delta, the hazard it leaves behind and
    the terminator's control transfer. *)
@@ -810,25 +778,18 @@ let[@inline] retire_block eng b =
 let exec_block eng b =
   entry_stall eng eng.out_pending b;
   let thunks = b.b_thunks in
-  let nu = Array.length thunks in
-  let i = ref 0 in
-  (try
-     while !i < nu do
-       (Array.unsafe_get thunks !i) ();
-       incr i
-     done
-   with e ->
-     repair_block eng b !i;
-     raise e);
+  for i = 0 to Array.length thunks - 1 do
+    (Array.unsafe_get thunks i) ()
+  done;
   retire_block eng b
 
 (* --- superblocks --- *)
 
-(* Junction load-use stalls for one trace iteration entered with
-   [pending0], and the hazard state left for the next iteration. Exact
-   replay of the per-block entry probes, O(member blocks) per
-   iteration. *)
-let iter_stalls sb pending0 =
+(* Junction load-use stalls for one iteration over the member [blocks]
+   entered with [pending0], and the hazard state left for the next
+   iteration. Exact replay of the per-block entry probes, O(member
+   blocks) per iteration. *)
+let iter_stalls blocks pending0 =
   let stall = ref 0 in
   let p = ref pending0 in
   Array.iter
@@ -840,58 +801,8 @@ let iter_stalls sb pending0 =
           | Some _ | None -> ())
       | None -> ());
       if not b.b_passthrough then p := b.b_exit_pending)
-    sb.s_blocks;
+    blocks;
   (!stall, !p)
-
-(* A thunk raised mid-trace. Nothing of this iteration has been batched
-   yet (stats, stalls and predictor updates land after the thunks), so
-   replay the completed member blocks' accounting in trace order —
-   junction stall, block stats, icache credits, internal jump predictor
-   updates — then let [repair_block] finish the faulting block through
-   slot [k]. Cache state and cycle charges from inside the thunks are
-   already exact. *)
-let repair_super_at eng sb ~bi ~k =
-  let stats = eng.stats in
-  let p = ref eng.out_pending in
-  for j = 0 to bi - 1 do
-    let b = sb.s_blocks.(j) in
-    entry_stall eng !p b;
-    stats.Stats.fetches <- stats.Stats.fetches + b.b_n;
-    stats.Stats.scalar_insns <- stats.Stats.scalar_insns + b.b_scalar;
-    stats.Stats.vector_insns <- stats.Stats.vector_insns + b.b_vector;
-    charge eng b.b_cycles;
-    Cache.credit_hits eng.icache (b.b_n - b.b_nlines);
-    eng.out_retired <- eng.out_retired + b.b_n;
-    (match b.b_term with
-    | T_jump { key; _ } -> record_branch eng ~key ~taken:true
-    | T_fall _ | T_branch _ -> ());
-    if not b.b_passthrough then p := b.b_exit_pending
-  done;
-  let fb = sb.s_blocks.(bi) in
-  entry_stall eng !p fb;
-  eng.super_bailouts <- eng.super_bailouts + 1;
-  repair_block eng fb k
-
-(* A fast-path iteration faulted: its fetch probes were elided, so
-   replay them — every line-run start of the completed member blocks
-   plus the faulting block's through slot [k] — before the repair
-   routines credit the remaining fetches. All of them hit (the fast
-   path only runs once the trace's lines are resident), so this
-   restores exactly the hit tallies and LRU touches the real-probe path
-   would have accumulated. *)
-let replay_probes eng sb ~bi ~k =
-  for j = 0 to bi - 1 do
-    let b = sb.s_blocks.(j) in
-    for s = 0 to b.b_n - 1 do
-      let la = b.b_newline.(s) in
-      if la >= 0 then icache_access eng la
-    done
-  done;
-  let fb = sb.s_blocks.(bi) in
-  for s = 0 to k do
-    let la = fb.b_newline.(s) in
-    if la >= 0 then icache_access eng la
-  done
 
 (* Steady-state loop execution: whole iterations of the flattened trace
    until the guard (the latch condition) fails or fuel could expire
@@ -921,7 +832,7 @@ let replay_probes eng sb ~bi ~k =
    The loop body is then just the closures, the guard test and a fuel
    bound; retired counts, cycles, stats, credits and lookups are
    applied once, multiplied by the iteration count, when the loop
-   exits (or before repair, when a thunk faults mid-iteration). *)
+   exits. *)
 let run_super eng sb =
   let stats = eng.stats in
   if eng.out_retired + sb.s_n > eng.fuel then
@@ -929,18 +840,10 @@ let run_super eng sb =
   else begin
     (* --- first iteration: live replay --- *)
     let thunks = sb.s_thunks in
-    let nt = Array.length thunks in
-    (try
-       for i = 0 to nt - 1 do
-         (Array.unsafe_get thunks i) ()
-       done
-     with e ->
-       (* only wrapped thunks raise, and the raiser recorded its own
-          trace index on entry *)
-       let ft = eng.fault_thunk in
-       repair_super_at eng sb ~bi:sb.s_tblock.(ft) ~k:(max sb.s_tslot.(ft) 0);
-       raise e);
-    let stall, p1 = iter_stalls sb eng.out_pending in
+    for i = 0 to Array.length thunks - 1 do
+      (Array.unsafe_get thunks i) ()
+    done;
+    let stall, p1 = iter_stalls sb.s_blocks eng.out_pending in
     stats.Stats.fetches <- stats.Stats.fetches + sb.s_n;
     stats.Stats.scalar_insns <- stats.Stats.scalar_insns + sb.s_scalar;
     stats.Stats.vector_insns <- stats.Stats.vector_insns + sb.s_vector;
@@ -980,67 +883,46 @@ let run_super eng sb =
       (* whole further iterations the fuel budget admits *)
       let max_iters = (eng.fuel - eng.out_retired) / sb.s_n in
       let iters = ref 0 in
-      let flush ~latch_taken =
-        let k = !iters in
-        if k > 0 then begin
-          stats.Stats.fetches <- stats.Stats.fetches + (k * sb.s_n);
-          stats.Stats.scalar_insns <-
-            stats.Stats.scalar_insns + (k * sb.s_scalar);
-          stats.Stats.vector_insns <-
-            stats.Stats.vector_insns + (k * sb.s_vector);
-          charge eng (k * iter_cycles);
-          Cache.credit_hits eng.icache (k * per_credit);
-          eng.out_retired <- eng.out_retired + (k * sb.s_n);
-          eng.super_iters <- eng.super_iters + k;
-          if sat then
-            Branch_pred.credit_lookups bpred ((k * njumps) + latch_taken)
-        end
-      in
       let gmask = sb.s_gmask and gval = sb.s_gval and gneg = sb.s_gneg in
       let running = ref true in
       let fuel_exit = ref false in
-      (try
-         while !running do
-           if !iters >= max_iters then begin
-             fuel_exit := true;
-             running := false
-           end
-           else begin
-             for fi = 0 to nb - 1 do
-               (Array.unsafe_get body fi) ()
-             done;
-             incr iters;
-             if not sat then
-               for j = 0 to njumps - 1 do
-                 record_branch eng
-                   ~key:(Array.unsafe_get sb.s_jumps j)
-                   ~taken:true
-               done;
-             let f = (eng.ctx.Sem.flags :> int) in
-             if ((f land gmask) = gval) <> gneg then begin
-               if not sat then record_branch eng ~key:sb.s_key ~taken:true
-             end
-             else running := false
-           end
-         done
-       with e ->
-         (* the faulting iteration is partial: batch the completed ones
-            (each of which took the latch), restore its elided fetch
-            probes, then repair per-step accounting up to the fault.
-            Only wrapped thunks raise; the raiser recorded its index. *)
-         flush ~latch_taken:!iters;
-         let ft = eng.fault_thunk in
-         let bi, k =
-           if fastok then (sb.s_ftblock.(ft), sb.s_ftslot.(ft))
-           else (sb.s_tblock.(ft), max sb.s_tslot.(ft) 0)
-         in
-         if fastok then replay_probes eng sb ~bi ~k;
-         repair_super_at eng sb ~bi ~k;
-         raise e);
-      (* every completed iteration took the latch except the final one
-         of a guard exit, whose not-taken retire never consults the
-         predictor (mirrors [exec_block]/[step]) *)
-      flush ~latch_taken:(!iters - if !fuel_exit then 0 else 1);
+      while !running do
+        if !iters >= max_iters then begin
+          fuel_exit := true;
+          running := false
+        end
+        else begin
+          for fi = 0 to nb - 1 do
+            (Array.unsafe_get body fi) ()
+          done;
+          incr iters;
+          if not sat then
+            for j = 0 to njumps - 1 do
+              record_branch eng ~key:(Array.unsafe_get sb.s_jumps j) ~taken:true
+            done;
+          let f = (eng.ctx.Sem.flags :> int) in
+          if ((f land gmask) = gval) <> gneg then begin
+            if not sat then record_branch eng ~key:sb.s_key ~taken:true
+          end
+          else running := false
+        end
+      done;
+      let k = !iters in
+      if k > 0 then begin
+        stats.Stats.fetches <- stats.Stats.fetches + (k * sb.s_n);
+        stats.Stats.scalar_insns <- stats.Stats.scalar_insns + (k * sb.s_scalar);
+        stats.Stats.vector_insns <- stats.Stats.vector_insns + (k * sb.s_vector);
+        charge eng (k * iter_cycles);
+        Cache.credit_hits eng.icache (k * per_credit);
+        eng.out_retired <- eng.out_retired + (k * sb.s_n);
+        eng.super_iters <- eng.super_iters + k;
+        (* every iteration took the latch except the final one of a
+           guard exit, whose not-taken retire never consults the
+           predictor (mirrors [exec_block]/[step]) *)
+        if sat then
+          Branch_pred.credit_lookups bpred
+            ((k * njumps) + if !fuel_exit then k else k - 1)
+      end;
       if not !fuel_exit then eng.out_pc <- sb.s_fall;
       eng.super_bailouts <- eng.super_bailouts + 1
     end
@@ -1071,63 +953,19 @@ let form_super eng latch ~head ~cond ~key ~fall =
   | Some blocks ->
       let blks = Array.of_list blocks in
       let nmember = Array.length blks in
-      let thunks = ref [] and tblock = ref [] and tslot = ref [] in
-      let fast = ref [] and ftblock = ref [] and ftslot = ref [] in
-      let jumps = ref [] in
-      let nthunks = ref 0 and nfast = ref 0 in
+      let thunks = ref [] and fast = ref [] and jumps = ref [] in
+      let nthunks = ref 0 in
       let n = ref 0 and scalars = ref 0 and vectors = ref 0 in
       let cycles = ref 0 and credits = ref 0 in
-      (* Only micro-ops replayed through the shared executors can raise
-         (the pre-resolved scalar kernels are total: every [Opcode] and
-         [Word] op is defined everywhere, and [Memory] reads any
-         address). Wrapping just those with a recorder that notes their
-         trace index in [eng.fault_thunk] lets the replay loops run as
-         plain counters; the handler reads the index back instead of
-         the loop maintaining a position ref per thunk call. *)
-      let can_raise = function
-        | Spred _ | Svec _ | Sgov _ -> true
-        | Smov_i _ | Smov_r _ | Sdp_i _ | Sdp_r _ | Scmp_i _ | Scmp_r _
-        | Sld _ | Sst _ ->
-            false
-      in
       Array.iteri
         (fun bi b ->
-          Array.iteri
-            (fun k th ->
-              let th =
-                if can_raise b.b_uops.(k) then (
-                  let idx = !nthunks in
-                  fun () ->
-                    eng.fault_thunk <- idx;
-                    th ())
-                else th
-              in
-              thunks := th :: !thunks;
-              tblock := bi :: !tblock;
-              tslot := k :: !tslot;
-              incr nthunks)
-            b.b_thunks;
-          Array.iteri
-            (fun k th ->
-              let th =
-                if can_raise b.b_uops.(k) then (
-                  let idx = !nfast in
-                  fun () ->
-                    eng.fault_thunk <- idx;
-                    th ())
-                else th
-              in
-              fast := th :: !fast;
-              ftblock := bi :: !ftblock;
-              ftslot := k :: !ftslot;
-              incr nfast)
-            b.b_bases;
+          Array.iter (fun th -> thunks := th :: !thunks) b.b_thunks;
+          Array.iter (fun th -> fast := th :: !fast) b.b_bases;
+          nthunks := !nthunks + Array.length b.b_thunks;
           (let nu = Array.length b.b_thunks in
            if b.b_n > nu && b.b_newline.(nu) >= 0 then begin
              let la = b.b_newline.(nu) in
              thunks := (fun () -> icache_access eng la) :: !thunks;
-             tblock := bi :: !tblock;
-             tslot := -1 :: !tslot;
              incr nthunks
            end);
           (if bi < nmember - 1 then
@@ -1152,21 +990,7 @@ let form_super eng latch ~head ~cond ~key ~fall =
             (fun p b -> if b.b_passthrough then p else b.b_exit_pending)
             None blks
         in
-        let stall_ss, _ =
-          let stall = ref 0 in
-          let p = ref exit_pending in
-          Array.iter
-            (fun b ->
-              (match !p with
-              | Some r -> (
-                  match b.b_first with
-                  | Some insn when Insn.uses_reg insn r -> incr stall
-                  | Some _ | None -> ())
-              | None -> ());
-              if not b.b_passthrough then p := b.b_exit_pending)
-            blks;
-          (!stall, !p)
-        in
+        let stall_ss, _ = iter_stalls blks exit_pending in
         (* the fast path elides fetch probes, which is exact only when
            steady-state residency is guaranteed: the trace's distinct
            fetch lines must fit their sets, so the first (real-probe)
@@ -1212,8 +1036,6 @@ let form_super eng latch ~head ~cond ~key ~fall =
               s_fall = fall;
               s_blocks = blks;
               s_thunks = Array.of_list (List.rev !thunks);
-              s_tblock = Array.of_list (List.rev !tblock);
-              s_tslot = Array.of_list (List.rev !tslot);
               s_jumps = Array.of_list (List.rev !jumps);
               s_n = !n;
               s_scalar = !scalars;
@@ -1222,8 +1044,6 @@ let form_super eng latch ~head ~cond ~key ~fall =
               s_credits = !credits;
               s_stall_ss = stall_ss;
               s_fast = Array.of_list (List.rev !fast);
-              s_ftblock = Array.of_list (List.rev !ftblock);
-              s_ftslot = Array.of_list (List.rev !ftslot);
               s_fast_ok = fast_ok;
             };
         eng.supers_built <- eng.supers_built + 1
@@ -1380,21 +1200,14 @@ let capture_block eng ob =
   let ctx = eng.ctx in
   let regs = ctx.Sem.regs in
   let thunks = b.b_thunks and cap = ob.o_cap and values = ob.o_values in
-  let nu = Array.length thunks in
-  let i = ref 0 in
-  (try
-     while !i < nu do
-       (Array.unsafe_get thunks !i) ();
-       let d = Array.unsafe_get cap !i in
-       Array.unsafe_set values !i
-         (if d >= 0 then Array.unsafe_get regs d
-          else if d = cap_effect then ctx.Sem.e_value
-          else Sem.no_value);
-       incr i
-     done
-   with e ->
-     repair_block eng b !i;
-     raise e);
+  for i = 0 to Array.length thunks - 1 do
+    (Array.unsafe_get thunks i) ();
+    let d = Array.unsafe_get cap i in
+    Array.unsafe_set values i
+      (if d >= 0 then Array.unsafe_get regs d
+       else if d = cap_effect then ctx.Sem.e_value
+       else Sem.no_value)
+  done;
   retire_block eng b
 
 let exec_observed eng ob ~capture ~retired ~pending =
@@ -1442,8 +1255,14 @@ let compile_useg eng uc j =
   let uops = u.Ucode.uops in
   let n = Array.length uops in
   let width = u.Ucode.width in
-  let acc = ref [] and charges = ref [] in
-  let nu = ref 0 in
+  let bus = eng.vec_bus_bytes in
+  let acc = ref [] and cycles = ref 1 (* the terminator *) in
+  let nu = ref 0 and vectors = ref 0 in
+  let add su c =
+    acc := su :: !acc;
+    cycles := !cycles + c;
+    incr nu
+  in
   let i = ref j in
   let term = ref None in
   while !term = None && !i < n do
@@ -1451,52 +1270,42 @@ let compile_useg eng uc j =
     | Ucode.US ins -> (
         match compile_suop ins with
         | Some su ->
-            acc := su :: !acc;
-            charges := scalar_charge ins :: !charges;
-            incr nu;
+            add su (scalar_charge ins);
             incr i
         | None -> term := Some `Bail)
     | Ucode.UV v ->
-        acc := Svec v :: !acc;
-        charges := vector_charge ~bus:eng.vec_bus_bytes ~lanes:width v :: !charges;
-        incr nu;
-        incr i
+        if Sem.vector_total ~lanes:width v then begin
+          add (Svec v) (vector_charge ~bus ~lanes:width v);
+          incr vectors;
+          incr i
+        end
+        else term := Some `Bail
     | Ucode.UG g ->
-        acc := Sgov g :: !acc;
-        charges := governed_charge ~bus:eng.vec_bus_bytes ~lanes:width g :: !charges;
-        incr nu;
-        incr i
+        if Sem.governed_total ~lanes:width g then begin
+          add (Sgov g) (governed_charge ~bus ~lanes:width g);
+          if Governed.is_vector g then incr vectors;
+          incr i
+        end
+        else term := Some `Bail
     | Ucode.UB { cond; target } -> term := Some (`B (cond, !i, target))
     | Ucode.URet -> term := Some `Ret
   done;
   match !term with
   | Some `Bail | None ->
-      (* control flow inside [US], or microcode without a terminator:
-         the interpreted loop owns the exact diagnostics *)
+      (* control flow inside [US], an op that would fault, or microcode
+         without a terminator: the interpreted loop owns the exact
+         diagnostics *)
       None
   | Some ((`Ret | `B _) as t) ->
-      let us_uops = Array.of_list (List.rev !acc) in
       let us_n = !nu + 1 in
-      let us_charge = Array.make us_n 1 in
-      List.iteri (fun k c -> us_charge.(k) <- c) (List.rev !charges);
-      let vectors =
-        Array.fold_left
-          (fun a u ->
-            match u with
-            | Svec _ -> a + 1
-            | Sgov g when Governed.is_vector g -> a + 1
-            | _ -> a)
-          0 us_uops
-      in
       Some
         {
-          us_uops;
-          us_thunks = Array.map (compile_thunk eng ~lanes:width) us_uops;
-          us_charge;
+          us_thunks =
+            Array.of_list (List.rev_map (compile_thunk eng ~lanes:width) !acc);
           us_n;
-          us_scalar = us_n - vectors;
-          us_vector = vectors;
-          us_cycles = Array.fold_left ( + ) 0 us_charge;
+          us_scalar = us_n - !vectors;
+          us_vector = !vectors;
+          us_cycles = !cycles;
           us_term =
             (match t with
             | `Ret -> UT_ret
@@ -1522,34 +1331,11 @@ let get_useg eng uc ui =
         (match s with Some seg -> U_seg seg | None -> U_bail);
       s
 
-let repair_useg eng seg k =
-  let stats = eng.stats in
-  let scalars = ref 0 and vectors = ref 0 and cyc = ref 0 in
-  for j = 0 to k do
-    (match seg.us_uops.(j) with
-    | Svec _ -> incr vectors
-    | Sgov g when Governed.is_vector g -> incr vectors
-    | _ -> incr scalars);
-    cyc := !cyc + seg.us_charge.(j)
-  done;
-  stats.Stats.uops_retired <- stats.Stats.uops_retired + k + 1;
-  stats.Stats.scalar_insns <- stats.Stats.scalar_insns + !scalars;
-  stats.Stats.vector_insns <- stats.Stats.vector_insns + !vectors;
-  charge eng !cyc;
-  eng.out_retired <- eng.out_retired + k + 1
-
 let exec_useg eng seg =
   let thunks = seg.us_thunks in
-  let nu = Array.length thunks in
-  let i = ref 0 in
-  (try
-     while !i < nu do
-       (Array.unsafe_get thunks !i) ();
-       incr i
-     done
-   with e ->
-     repair_useg eng seg !i;
-     raise e);
+  for i = 0 to Array.length thunks - 1 do
+    (Array.unsafe_get thunks i) ()
+  done;
   let stats = eng.stats in
   stats.Stats.uops_retired <- stats.Stats.uops_retired + seg.us_n;
   stats.Stats.scalar_insns <- stats.Stats.scalar_insns + seg.us_scalar;

@@ -38,9 +38,13 @@
     step-by-step engine. {!Cpu} only dispatches here when fidelity
     permits — no trace consumer, no interrupts while a session is live,
     no armed feed fault inside a verify iteration, and enough fuel for
-    the whole block — and falls back to [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
-    the partial per-step accounting before re-raising, so escaping
-    diagnostics also match. *)
+    the whole block — and falls back to [step] otherwise.
+
+    Compiled code cannot fault. A block ends before a vector op that is
+    not total at the accelerator's width ({!Sem.vector_total}), and a
+    microcode segment holding one is declined, so [step] or the
+    interpreted microcode loop raises the exact diagnostic. The replay
+    loops have no handler. *)
 
 open Liquid_isa
 open Liquid_machine
@@ -64,6 +68,10 @@ val mul_extra : int
 
 val mispredict_penalty : int
 (** 3: the pipeline refill after a mispredicted conditional branch. *)
+
+val scalar_charge : Liquid_isa.Insn.exec -> int
+(** One scalar instruction: the issue cycle, plus {!mul_extra} for a
+    multiply. A load-use stall is charged on top, where it occurs. *)
 
 val gather_charge : bus:int -> lanes:int -> Liquid_isa.Esize.t -> int
 (** A gather-style dispatch (a [Vgather], or a recovered permutation's
@@ -104,12 +112,11 @@ val try_exec :
     (the load-use hazard register) are the dispatcher's current values;
     on [true] the caller must read back {!out_pc}, {!out_retired} and
     {!out_pending}. [false] means no block starts here (region call,
-    return, halt, wild pc, vector code without an accelerator) or the
-    fuel budget could expire inside the block — the caller steps
-    faithfully. With [traces = false] the blocks neither heat, form nor
-    enter trace superblocks (the plain block engine). If a micro-op
-    raises, partial accounting is repaired and the out-fields are valid
-    for diagnostics before the exception propagates. *)
+    return, halt, wild pc, vector code without an accelerator, a vector
+    op that would fault) or the fuel budget could expire inside the
+    block — the caller steps faithfully. With [traces = false] the
+    blocks neither heat, form nor enter trace superblocks (the plain
+    block engine). Never raises. *)
 
 val out_pc : t -> int
 val out_retired : t -> int
@@ -160,8 +167,11 @@ type uresult =
   | U_done  (** the replay retired its [URet] *)
   | U_resume of int
       (** continue interpreting at this uop index: the segment there was
-          declined, would exhaust the fuel budget, or the index is out
-          of range (the interpreted loop raises the exact diagnostic) *)
+          declined (control flow in a scalar uop, an op that is not
+          total at the microcode width, no terminator), would exhaust
+          the fuel budget, or the index is out of range. The segment
+          there has retired nothing; the interpreted loop raises the
+          exact diagnostic. *)
 
 val exec_ucode :
   t -> entry:int -> stamp:int -> retired:int -> Ucode.t -> uresult
@@ -170,8 +180,7 @@ val exec_ucode :
     entry ([-1] for oracle microcode); a mismatch recompiles, so a
     retranslated region never replays stale segments. The caller sets
     [ctx.lanes] to the microcode width first (as for the interpreted
-    loop) and reads back {!out_retired} afterwards — also when this
-    raises. *)
+    loop) and reads back {!out_retired} afterwards. Never raises. *)
 
 val built : t -> int
 (** Blocks compiled so far (telemetry). *)

@@ -372,7 +372,9 @@ let feed_session st session pc insn =
    When the block engine is on, replay runs through its pre-compiled
    straight-line segments; the interpreted loop below continues from
    wherever the engine handed back control (declined segment, fuel
-   proximity, out-of-range index) so diagnostics stay per-step exact.
+   proximity, out-of-range index) so diagnostics stay per-step exact:
+   a segment holding an op that would fault is declined, and the op
+   faults here.
    [stamp] is the microcode cache's install stamp for this entry ([-1]
    for oracle microcode), which invalidates compiled segments when a
    region is retranslated. *)
@@ -383,13 +385,9 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
     match st.eng with
     | None -> 0
     | Some eng -> (
-        match Blocks.exec_ucode eng ~entry ~stamp ~retired:st.retired u with
-        | r -> (
-            st.retired <- Blocks.out_retired eng;
-            match r with Blocks.U_done -> -1 | Blocks.U_resume ui -> ui)
-        | exception e ->
-            st.retired <- Blocks.out_retired eng;
-            raise e)
+        let r = Blocks.exec_ucode eng ~entry ~stamp ~retired:st.retired u in
+        st.retired <- Blocks.out_retired eng;
+        match r with Blocks.U_done -> -1 | Blocks.U_resume ui -> ui)
   in
   let n = Array.length u.Ucode.uops in
   let ui = ref start in
@@ -402,10 +400,7 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
     | Ucode.US i ->
         fuel_check st;
         st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-        charge st 1;
-        (match i with
-        | Insn.Dp { op = Opcode.Mul; _ } -> charge st Blocks.mul_extra
-        | _ -> ());
+        charge st (Blocks.scalar_charge i);
         (match Sem.exec_scalar st.ctx ~pc:(-1) i with
         | Sem.Next -> ()
         | Sem.Jump _ | Sem.Call _ | Sem.Return | Sem.Stop ->
@@ -423,14 +418,13 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
         (* Governor and counter management is loop-control overhead and
            accounts as scalar work; a governed datapath op is vector
            work with the static charges of its ungoverned form. *)
+        if Governed.is_vector g then
+          st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
+        else st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
         (match g with
         | Governed.Op _ | Governed.Tbl _ | Governed.Tblst _ ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
-        | Governed.Tblidx _ ->
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
-        | Governed.Set_active _ | Governed.Advance _ ->
-            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1);
+            st.vla_preds <- st.vla_preds + 1
+        | Governed.Tblidx _ | Governed.Set_active _ | Governed.Advance _ -> ());
         charge st
           (Blocks.governed_charge ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes
              g);
@@ -646,11 +640,8 @@ let step st =
       fuel_check st;
       trace_insn st pc (Minsn.S insn);
       st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-      charge st 1;
+      charge st (Blocks.scalar_charge insn);
       load_use_stall st insn;
-      (match insn with
-      | Insn.Dp { op = Opcode.Mul; _ } -> charge st Blocks.mul_extra
-      | _ -> ());
       let outcome = Sem.exec_scalar st.ctx ~pc insn in
       charge_accesses st;
       (match insn with
@@ -689,7 +680,8 @@ let step st =
       | Sem.Stop -> st.halted <- true)
   | Minsn.V v -> (
       match st.cfg.accel_lanes with
-      | None -> raise (Sem.Sigill "vector instruction without SIMD accelerator")
+      | None ->
+          raise (diag st (Diag.Illegal "vector instruction without SIMD accelerator"))
       | Some _ ->
           fuel_check st;
           trace_insn st pc (Minsn.V v);
@@ -843,24 +835,16 @@ let collect st mem ctx =
   }
 
 (* One block-engine dispatch at [st.pc]; [false] when the engine
-   declines and the caller must step. On an exception escaping the
-   engine, the out-fields carry the repaired per-step position; sync
-   them so [run_result] reports identical diagnostics. *)
+   declines and the caller must step. *)
 let dispatch_blocks st eng ~traces =
-  match
-    Blocks.try_exec eng ~pc:st.pc ~retired:st.retired ~pending:st.last_load_dst
-      ~traces
-  with
-  | true ->
-      st.pc <- Blocks.out_pc eng;
-      st.retired <- Blocks.out_retired eng;
-      st.last_load_dst <- Blocks.out_pending eng;
-      true
-  | false -> false
-  | exception e ->
-      st.pc <- Blocks.out_pc eng;
-      st.retired <- Blocks.out_retired eng;
-      raise e
+  Blocks.try_exec eng ~pc:st.pc ~retired:st.retired ~pending:st.last_load_dst
+    ~traces
+  && begin
+       st.pc <- Blocks.out_pc eng;
+       st.retired <- Blocks.out_retired eng;
+       st.last_load_dst <- Blocks.out_pending eng;
+       true
+     end
 
 (* A live session at its loop top in the Verify phase: run the next
    iteration as the loop body's block closures and hand the captured
@@ -889,26 +873,20 @@ let dispatch_session st eng s =
   in
   match body with
   | None -> false
-  | Some b -> (
-      match
-        Blocks.exec_observed eng b
-          ~capture:(Translator.needs_values s.tr)
-          ~retired:st.retired ~pending:st.last_load_dst
-      with
-      | true ->
-          st.pc <- Blocks.out_pc eng;
-          st.retired <- Blocks.out_retired eng;
-          st.last_load_dst <- Blocks.out_pending eng;
-          let values = Blocks.observed_values b in
-          Translator.feed_iteration s.tr values;
-          st.feeds <- st.feeds + Array.length values;
-          st.session_iters <- st.session_iters + 1;
-          true
-      | false -> false
-      | exception e ->
-          st.pc <- Blocks.out_pc eng;
-          st.retired <- Blocks.out_retired eng;
-          raise e)
+  | Some b ->
+      Blocks.exec_observed eng b
+        ~capture:(Translator.needs_values s.tr)
+        ~retired:st.retired ~pending:st.last_load_dst
+      && begin
+           st.pc <- Blocks.out_pc eng;
+           st.retired <- Blocks.out_retired eng;
+           st.last_load_dst <- Blocks.out_pending eng;
+           let values = Blocks.observed_values b in
+           Translator.feed_iteration s.tr values;
+           st.feeds <- st.feeds + Array.length values;
+           st.session_iters <- st.session_iters + 1;
+           true
+         end
 
 (* A session whose translator has failed ignores what it is fed, so the
    plain block engine runs for it. [step] would have fed it every image
@@ -963,17 +941,11 @@ let exec_loop st =
                 else if not (dispatch_session st eng s) then step st)
       done
 
+(* The one place a [Sem.Sigill] becomes a diagnostic: only the
+   interpreters raise it ([step] and the interpreted microcode loop),
+   since compiled code cannot fault, and the machine position is the
+   faulting instruction's (a microcode op reports its region call). *)
 let run ?(config = scalar_config) image =
   let st, mem, ctx = init_state config image in
-  exec_loop st;
+  (try exec_loop st with Sem.Sigill m -> raise (diag st (Diag.Illegal m)));
   collect st mem ctx
-
-let run_result ?(config = scalar_config) image =
-  let st, mem, ctx = init_state config image in
-  match exec_loop st with
-  | () -> Ok (collect st mem ctx)
-  | exception Diag.Error d -> Error d
-  | exception Sem.Sigill m ->
-      Error
-        (Diag.make ~fault:(Diag.Illegal m) ~pc:st.pc
-           ~cycle:st.stats.Stats.cycles ~retired:st.retired)

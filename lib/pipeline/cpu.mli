@@ -218,13 +218,10 @@ type run = {
 
 val run : ?config:config -> Image.t -> run
 (** Execute the image from its entry point until [halt].
-    Raises {!Diag.Error} on runaway execution, a wild PC or corrupt
-    microcode, and {!Sem.Sigill} when the binary needs hardware this
-    machine lacks. Prefer {!run_result} for callers that must survive
-    failing runs. *)
-
-val run_result : ?config:config -> Image.t -> (run, Diag.t) result
-(** Like {!run}, but a failing run returns [Error diag] — the typed
-    fault plus a machine snapshot (pc, cycle, retired count) — instead
-    of raising. {!Sem.Sigill} is converted to a [Diag.Illegal] fault at
-    this boundary; no exception escapes. *)
+    A run that cannot finish raises {!Diag.Error} and nothing else: the
+    typed fault plus a machine snapshot (pc, cycle, retired count) on
+    runaway execution, a wild pc, corrupt microcode, or an instruction
+    this machine cannot execute ([Diag.Illegal]: a vector instruction
+    without an accelerator, or one the accelerator's width rejects).
+    The engine and stepping ([blocks = false]) stop with identical
+    diagnostics. *)

@@ -4,10 +4,10 @@
     microcode index, an instruction the machine cannot execute — is a
     typed fault carried with the machine context at the failure point
     (program counter, cycle count, retired-instruction count), replacing
-    the earlier string-carrying [Execution_error] exception. Boundaries
-    that can fail return [(_, Diag.t) result] ({!Cpu.run_result},
-    {!Offline.translate_region_result}); the [_exn] shims raise
-    {!Error}. *)
+    the earlier string-carrying [Execution_error] exception. A run
+    ({!Cpu.run}) raises {!Error} and nothing else; offline translation
+    returns [(_, Diag.t) result] ({!Offline.translate_region_result}),
+    and its shims raise {!Error}. *)
 
 type fault =
   | Fuel_exhausted  (** the retired-instruction watchdog budget ran out *)
@@ -16,8 +16,9 @@ type fault =
   | Ucode_control_flow
       (** a scalar microcode slot attempted a jump/call/return *)
   | Illegal of string
-      (** the machine cannot execute this instruction
-          ({!Sem.Sigill} converted at the run boundary) *)
+      (** the machine cannot execute this instruction: a vector
+          instruction without an accelerator, or an interpreter
+          {!Sem.Sigill} converted at the run boundary *)
   | Region_nonterminating  (** offline translation step budget exhausted *)
   | Region_vector_insn  (** a vector instruction inside a scalar region *)
 

@@ -396,8 +396,7 @@ let exec_governed ctx (g : Governed.t) =
       let k = ctx.preds.(Governed.slot gov) in
       if k >= ctx.lanes then begin
         (* full-count fast path: every lane active, so the unmasked
-           fixed-width semantics apply verbatim (counted before exec so
-           the tally survives a [Sigill] escaping mid-instruction) *)
+           fixed-width semantics apply verbatim *)
         ctx.n_pred_fast <- ctx.n_pred_fast + 1;
         exec_vector ctx v
       end
@@ -446,14 +445,38 @@ let step_vector ctx vinsn =
   exec_vector ctx vinsn;
   last_effect ctx
 
+(* --- totality ---
+
+   The two static [Sigill] causes, decided from the op and the width
+   alone: a constant vector whose length is not the lane count, and a
+   permutation the width does not support. A governed [Op] carrying a
+   [Vperm] is never total: the governed backends lower permutations to
+   [Tbl]/[Tblst], and a masked [Vperm] raises at any width. *)
+
+let vector_total ~lanes (v : Vinsn.exec) =
+  match v with
+  | Vinsn.Vdp { src2 = Vinsn.VConst a; _ } -> Array.length a = lanes
+  | Vinsn.Vperm { pattern; _ } -> Perm.supported pattern ~lanes
+  | Vinsn.Vld _ | Vinsn.Vst _ | Vinsn.Vlds _ | Vinsn.Vsts _ | Vinsn.Vgather _
+  | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vred _ ->
+      true
+
+let governed_total ~lanes (g : Governed.t) =
+  match g with
+  | Governed.Op { v = Vinsn.Vperm _; _ } -> false
+  | Governed.Op { v; _ } -> vector_total ~lanes v
+  | Governed.Set_active _ | Governed.Advance _ | Governed.Tblidx _
+  | Governed.Tbl _ | Governed.Tblst _ ->
+      true
+
 (* --- closure compilation ---
 
-   [compile_vector]/[compile_governed] turn one vector (or governed) op
-   into a specialized [unit -> unit] closure for the block engine:
-   operand registers are resolved to the context arrays once, the lane
-   count is baked in (the engine only replays a compiled op while
-   [ctx.lanes] equals the baked count), element decode/encode loops are
-   monomorphized per element size, and the opcode dispatch is
+   [compile_vector]/[compile_governed] turn one total vector (or
+   governed) op into a specialized [unit -> unit] closure for the block
+   engine: operand registers are resolved to the context arrays once,
+   the lane count is baked in (the engine only replays a compiled op
+   while [ctx.lanes] equals the baked count), element decode/encode
+   loops are monomorphized per element size, and the opcode dispatch is
    pre-resolved through {!Opcode.fn}.
 
    The contract mirrors the scalar kernels above: architectural state
@@ -462,9 +485,8 @@ let step_vector ctx vinsn =
    prefix ([e_nacc]/[acc_*]) is maintained exactly — the engine derives
    data-cache charges from it. The value/taken scratch fields are
    skipped; they are only consumed by a live translator session or a
-   trace observer, under which the block engine never runs. A compiled
-   op that must fault ([Sigill]) does so on every execution, matching
-   the interpretive per-execution check. *)
+   trace observer, under which the block engine never runs. An op that
+   is not total is refused, so a compiled closure never raises. *)
 
 let[@inline] set_access ctx i addr bytes write =
   ctx.acc_addr.(i) <- addr;
@@ -526,6 +548,8 @@ let compile_encode ctx s ~w ~bytes =
   | n -> invalid_arg (Printf.sprintf "Sem: bad element size %d" n)
 
 let compile_vector ctx ~lanes:w (vinsn : Vinsn.exec) =
+  if not (vector_total ~lanes:w vinsn) then
+    invalid_arg "Sem.compile_vector: the op faults at this width";
   match vinsn with
   | Vinsn.Vld { esize; signed; dst; base; index } ->
       let bytes = Esize.bytes esize in
@@ -645,19 +669,13 @@ let compile_vector ctx ~lanes:w (vinsn : Vinsn.exec) =
             done;
             ctx.e_nacc <- 0
       | Vinsn.VConst arr ->
-          if Array.length arr <> w then fun () ->
-            (* the interpretive path checks the width on every execution
-               (through [vsrc_lane]); fault identically, forever *)
-            clear_effect ctx;
-            raise (Sigill "constant vector width mismatch")
-          else
-            let f = Opcode.fn op in
-            fun () ->
-              for i = 0 to w - 1 do
-                Array.unsafe_set d i
-                  (f (Array.unsafe_get a i) (Array.unsafe_get arr i))
-              done;
-              ctx.e_nacc <- 0)
+          let f = Opcode.fn op in
+          fun () ->
+            for i = 0 to w - 1 do
+              Array.unsafe_set d i
+                (f (Array.unsafe_get a i) (Array.unsafe_get arr i))
+            done;
+            ctx.e_nacc <- 0)
   | Vinsn.Vsat { op; esize; signed; dst; src1; src2 } ->
       let a = ctx.vregs.(Vreg.index src1) in
       let b = ctx.vregs.(Vreg.index src2) in
@@ -669,26 +687,18 @@ let compile_vector ctx ~lanes:w (vinsn : Vinsn.exec) =
         done;
         ctx.e_nacc <- 0
   | Vinsn.Vperm { pattern; dst; src } ->
-      if not (Perm.supported pattern ~lanes:w) then fun () ->
-        clear_effect ctx;
-        raise
-          (Sigill
-             (Format.asprintf "permutation %a unsupported at %d lanes" Perm.pp
-                pattern w))
-      else begin
-        (* [Perm.apply] is positional, so applying it to the identity
-           yields the source index of every destination lane once *)
-        let map = Perm.apply pattern (Array.init w (fun i -> i)) in
-        let s = ctx.vregs.(Vreg.index src) in
-        let d = ctx.vregs.(Vreg.index dst) in
-        let tmp = ctx.gather_tmp in
-        fun () ->
-          for i = 0 to w - 1 do
-            tmp.(i) <- s.(map.(i))
-          done;
-          Array.blit tmp 0 d 0 w;
-          ctx.e_nacc <- 0
-      end
+      (* [Perm.apply] is positional, so applying it to the identity
+         yields the source index of every destination lane once *)
+      let map = Perm.apply pattern (Array.init w (fun i -> i)) in
+      let s = ctx.vregs.(Vreg.index src) in
+      let d = ctx.vregs.(Vreg.index dst) in
+      let tmp = ctx.gather_tmp in
+      fun () ->
+        for i = 0 to w - 1 do
+          tmp.(i) <- s.(map.(i))
+        done;
+        Array.blit tmp 0 d 0 w;
+        ctx.e_nacc <- 0
   | Vinsn.Vred { op; acc; src } ->
       let s = ctx.vregs.(Vreg.index src) in
       let ai = Reg.index acc in
@@ -705,6 +715,8 @@ let compile_vector ctx ~lanes:w (vinsn : Vinsn.exec) =
    compiled governed op reads one int cell per execution and never
    dispatches on the governor. *)
 let compile_governed ctx ~lanes (g : Governed.t) =
+  if not (governed_total ~lanes g) then
+    invalid_arg "Sem.compile_governed: the op faults at this width";
   match g with
   | Governed.Set_active { into; counter; bound } ->
       let ci = Reg.index counter in

@@ -7,10 +7,12 @@ open Liquid_isa
 open Liquid_visa
 
 exception Sigill of string
-(** Raised when an instruction cannot execute on this machine: a vector
-    instruction without (or incompatible with) the configured SIMD
-    accelerator — the binary-compatibility failure Liquid SIMD exists to
-    avoid. *)
+(** Raised by the interpreters ({!exec_vector}, {!exec_governed}) when a
+    vector instruction is incompatible with the active lane count — the
+    binary-compatibility failure Liquid SIMD exists to avoid. The static
+    causes are exactly the ops {!vector_total} and {!governed_total}
+    reject. A run never lets it escape: {!Cpu.run} reports it as a
+    [Diag.Illegal] fault. *)
 
 val no_value : int
 (** Sentinel stored in {!ctx.e_value} when the last instruction wrote no
@@ -134,6 +136,25 @@ val step_vector : ctx -> Vinsn.exec -> effect
 val kernel_ld : ctx -> addr:int -> bytes:int -> signed:bool -> dst:int -> unit
 val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
 
+(** {1 Totality}
+
+    Whether an op can raise {!Sigill} at a lane count, decided from the
+    op alone. The block engine compiles only total ops: it ends a block
+    before any other, and declines a microcode segment that holds one,
+    so the interpreter raises the exact diagnostic. *)
+
+val vector_total : lanes:int -> Vinsn.exec -> bool
+(** [false] exactly when {!exec_vector} raises at [lanes] lanes: a
+    constant vector whose length is not [lanes], or a permutation
+    {!Liquid_visa.Perm.supported} rejects at [lanes]. *)
+
+val governed_total : lanes:int -> Governed.t -> bool
+(** A total governed op raises at no active count from 0 to [lanes]. An
+    [Op] is total when its vector op is, except that an [Op] carrying a
+    [Vperm] never is (a partial count raises "predicated permutation";
+    the governed backends lower permutations to [Tbl]/[Tblst]). Every
+    other governed op is total. *)
+
 (** {1 Closure compilation}
 
     One-instruction compilers for the block engine: {!Blocks} builds
@@ -150,13 +171,12 @@ val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
     data-cache charges from it), while the [e_value]/[e_taken] scratch is
     skipped — only a live translator session observes it, and under
     one the block engine runs only a verifying session's scalar loop
-    body or code a failed session ignores. Deterministic faults (unsupported
-    permutation, mismatched constant vector) are compiled into thunks
-    that raise {!Sigill} with the interpretive message on every
-    execution. *)
+    body or code a failed session ignores. Only total ops compile, so a
+    compiled closure never raises. *)
 
 val compile_vector : ctx -> lanes:int -> Vinsn.exec -> unit -> unit
-(** Compile one fixed-width vector instruction at width [lanes]. *)
+(** Compile one fixed-width vector instruction at width [lanes].
+    Raises [Invalid_argument] unless {!vector_total} holds. *)
 
 val compile_governed : ctx -> lanes:int -> Governed.t -> unit -> unit
 (** Compile one governed operation at vector length [lanes]. The
@@ -165,4 +185,5 @@ val compile_governed : ctx -> lanes:int -> Governed.t -> unit -> unit
     [Op] keeps the fast/masked split of {!exec_governed}: a full count
     runs the pre-compiled unmasked closure (counted in [n_pred_fast]), a
     partial one falls back to the interpretive masked path (counted in
-    [n_pred_masked]). *)
+    [n_pred_masked]). Raises [Invalid_argument] unless
+    {!governed_total} holds. *)

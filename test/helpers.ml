@@ -74,12 +74,19 @@ let fault_space w ~width =
   Fault.space_of
     (Cpu.run ~config:(Cpu.liquid_config ~lanes:width) (fault_image w ~width))
 
+(* A run's record, or the diagnostic it stopped with: [Cpu.run] raises
+   [Diag.Error] and nothing else. *)
+let outcome ~config image =
+  match Cpu.run ~config image with
+  | run -> Ok run
+  | exception Liquid_pipeline.Diag.Error d -> Error d
+
 (* Run [w] at [width] with [fault] armed: the image and the run's
-   result, whose record says whether the fault fired. *)
+   outcome, whose record says whether the fault fired. *)
 let run_fault w ~width fault =
   let image = fault_image w ~width in
   let config = { (Cpu.liquid_config ~lanes:width) with Cpu.fault = Some fault } in
-  (image, Cpu.run_result ~config image)
+  (image, outcome ~config image)
 
 (* The engine differentials' contract: two runs of the same image, one
    through the block engine and its superblock tier, one stepping, agree

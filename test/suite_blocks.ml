@@ -308,8 +308,8 @@ let test_session_fuel () =
           }
         in
         match
-          ( Cpu.run_result ~config image,
-            Cpu.run_result ~config:{ config with Cpu.blocks = false } image )
+          ( Helpers.outcome ~config image,
+            Helpers.outcome ~config:{ config with Cpu.blocks = false } image )
         with
         | Error don, Error doff ->
             Alcotest.(check bool)

@@ -67,22 +67,20 @@ let test_fuel_exhaustion () =
   let config =
     { Cpu.scalar_config with Cpu.fault = Some (Fault.Exhaust_fuel { budget = 100 }) }
   in
-  match Cpu.run_result ~config (Image.of_program prog) with
-  | Ok _ -> Alcotest.fail "spin loop terminated"
-  | Error d ->
+  match Cpu.run ~config (Image.of_program prog) with
+  | _ -> Alcotest.fail "spin loop terminated"
+  | exception Diag.Error d ->
       check_bool "fuel fault class" true (d.Diag.fault = Diag.Fuel_exhausted);
       check "retired = fuel + 1" 101 d.Diag.retired;
       check_bool "snapshot cycle advanced" true (d.Diag.cycle > 0);
-      check_bool "snapshot pc inside image" true (d.Diag.pc >= 0);
-      (* The _exn shim raises the same diagnostic. *)
-      Alcotest.check_raises "shim raises Diag.Error" (Diag.Error d) (fun () ->
-          ignore (Cpu.run ~config (Image.of_program prog)))
+      check_bool "snapshot pc inside image" true (d.Diag.pc >= 0)
 
 let test_wild_pc () =
   let prog = Program.make ~name:"fall" ~text:[ Program.Label "main"; Build.mov (r 1) 0 ] ~data:[] in
-  match Cpu.run_result (Image.of_program prog) with
-  | Ok _ -> Alcotest.fail "fall-through terminated"
-  | Error d -> check_bool "wild pc fault" true (d.Diag.fault = Diag.Wild_pc)
+  match Cpu.run (Image.of_program prog) with
+  | _ -> Alcotest.fail "fall-through terminated"
+  | exception Diag.Error d ->
+      check_bool "wild pc fault" true (d.Diag.fault = Diag.Wild_pc)
 
 (* --- region bookkeeping --- *)
 
@@ -259,11 +257,11 @@ let test_oracle_serves_first_call () =
 
 let test_native_on_scalar_machine_faults () =
   let prog = Codegen.native ~width:8 (vadd_program ()) in
-  check_bool "sigill" true
-    (try
-       ignore (run_image prog);
-       false
-     with Sem.Sigill _ -> true)
+  match run_image prog with
+  | _ -> Alcotest.fail "native binary ran on the scalar machine"
+  | exception Diag.Error d ->
+      check_bool "illegal vector instruction" true
+        (d.Diag.fault = Diag.Illegal "vector instruction without SIMD accelerator")
 
 let test_offline_translate_all () =
   let prog = Codegen.liquid (vadd_program ()) in

@@ -255,8 +255,8 @@ let test_evict_numbering () =
    require the two to agree; the fault must fire on both. *)
 let check_engine_twin what image config fault =
   let config = { config with Cpu.fault = Some fault } in
-  let on = Cpu.run_result ~config image in
-  let off = Cpu.run_result ~config:{ config with Cpu.blocks = false } image in
+  let on = Helpers.outcome ~config image in
+  let off = Helpers.outcome ~config:{ config with Cpu.blocks = false } image in
   Helpers.check_fault_twin what on off;
   match on with
   | Ok run -> check_bool (what ^ ": fired") true run.Cpu.fault_fired

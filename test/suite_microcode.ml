@@ -78,6 +78,40 @@ let shape_expectations () =
     (has "104.hydro2d"
        (is_v (function Vinsn.Vdp { src2 = VConst _; _ } -> true | _ -> false)))
 
+(* The translator never emits what the block engine would decline:
+   every vector and governed uop of every translation — 15 workloads x
+   {fixed, vla, rvv} x {2, 4, 8, 16} — is total at its microcode width,
+   so every segment of installed microcode compiles. *)
+let only_total_ops () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let image = Image.of_program (Liquid_scalarize.Codegen.liquid w.program) in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun lanes ->
+              List.iter
+                (fun (_, label, result) ->
+                  match result with
+                  | Translator.Aborted _ -> ()
+                  | Translator.Translated u ->
+                      Array.iteri
+                        (fun i uop ->
+                          let total =
+                            match uop with
+                            | Ucode.UV v -> Sem.vector_total ~lanes:u.Ucode.width v
+                            | Ucode.UG g -> Sem.governed_total ~lanes:u.Ucode.width g
+                            | Ucode.US _ | Ucode.UB _ | Ucode.URet -> true
+                          in
+                          if not total then
+                            Alcotest.failf "%s/%s %s/%d: uop %d is not total at %d lanes"
+                              w.name label (Backend.name_of backend) lanes i u.Ucode.width)
+                        u.Ucode.uops)
+                (Offline.translate_all ~backend ~image ~lanes ()))
+            [ 2; 4; 8; 16 ])
+        Backend.all)
+    (Workload.all ())
+
 let tests =
   List.map
     (fun (w : Workload.t) ->
@@ -85,4 +119,8 @@ let tests =
         (Printf.sprintf "%s microcode invariants" w.name)
         `Quick (microcode_invariants w))
     (Workload.all ())
-  @ [ Alcotest.test_case "kernel-shape expectations" `Quick shape_expectations ]
+  @ [
+      Alcotest.test_case "kernel-shape expectations" `Quick shape_expectations;
+      Alcotest.test_case "every translation holds only total ops" `Quick
+        only_total_ops;
+    ]

@@ -689,8 +689,14 @@ let tests = tests @ machine_robustness_props
    run re-executes the same closure on the state the first left), and
    compares everything the compiled form must keep exact: registers,
    vector registers, governor counts, flags, memory, the access scratch
-   prefix, the fast/masked/index-build tallies and the [Sigill] raised.
-   [e_value]/[e_taken] are skipped by contract and not compared. *)
+   prefix, the fast/masked/index-build tallies and the [Sigill] raised
+   (none: only total ops compile). [e_value]/[e_taken] are skipped by
+   contract and not compared.
+
+   The same cases pin the totality predicate to the interpreter:
+   [Sem.vector_total] is false exactly when [Sem.exec_vector] raises, a
+   total governed op raises at no active count from 0 to the width, and
+   the compilers refuse every op that is not total. *)
 
 type sem_op = V of Vinsn.exec | G of Governed.t
 
@@ -866,19 +872,39 @@ let sem_props =
           let second = run f in
           (sem_observe ctx (first, second), ctx.Sem.mem)
         in
+        let lanes = c.sc_lanes in
         let interp = sem_ctx c and compiled = sem_ctx c in
-        let interp_f, compiled_f =
+        let total, interp_f, compile =
           match c.sc_op with
           | V v ->
-              ( (fun () -> Sem.exec_vector interp v),
-                Sem.compile_vector compiled ~lanes:c.sc_lanes v )
+              ( Sem.vector_total ~lanes v,
+                (fun () -> Sem.exec_vector interp v),
+                fun () -> Sem.compile_vector compiled ~lanes v )
           | G g ->
-              ( (fun () -> Sem.exec_governed interp g),
-                Sem.compile_governed compiled ~lanes:c.sc_lanes g )
+              ( Sem.governed_total ~lanes g,
+                (fun () -> Sem.exec_governed interp g),
+                fun () -> Sem.compile_governed compiled ~lanes g )
         in
-        let a, mem_a = twice interp interp_f in
-        let b, mem_b = twice compiled compiled_f in
-        a = b && Memory.equal mem_a mem_b);
+        let ((_, _, _, (raised, _)) as a), mem_a = twice interp interp_f in
+        let agrees =
+          match c.sc_op with
+          | V _ -> total = (raised = None)
+          | G g ->
+              (not total)
+              || List.for_all
+                   (fun k ->
+                     let ctx = sem_ctx c in
+                     Array.fill ctx.Sem.preds 0 (Array.length ctx.Sem.preds) k;
+                     run (fun () -> Sem.exec_governed ctx g) = None)
+                   (List.init (lanes + 1) Fun.id)
+        in
+        agrees
+        &&
+        match compile () with
+        | exception Invalid_argument _ -> not total
+        | compiled_f ->
+            let b, mem_b = twice compiled compiled_f in
+            total && a = b && Memory.equal mem_a mem_b);
   ]
 
 let tests = tests @ sem_props

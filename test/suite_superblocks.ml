@@ -220,7 +220,7 @@ let test_fuel_bailout () =
     (fun fuel ->
       let image = Image.of_program (counting_program ~trips:5000) in
       let result blocks =
-        Cpu.run_result
+        Helpers.outcome
           ~config:
             {
               Cpu.scalar_config with

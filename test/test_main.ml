@@ -23,6 +23,7 @@ let () =
       ("rvv", Suite_rvv.tests);
       ("blocks", Suite_blocks.tests);
       ("superblocks", Suite_superblocks.tests);
+      ("illegal", Suite_illegal.tests);
       ("obs", Suite_obs.tests);
       ("faults", Suite_faults.tests);
       ("fuzz", Suite_fuzz.tests);
